@@ -405,108 +405,6 @@ run_reorder_ablation(bench::JsonReporter &json)
 }
 
 /**
- * Step-cohort ablation (DESIGN.md §12): the same walk at cohort size
- * 0 (legacy scalar loop), 4, 16, and 64, on a graph sized past L2 so
- * the adjacency reads the kernel prefetches actually miss the near
- * caches.  Walk output is bit-identical across rows — only measured
- * cpu_seconds and the kernel telemetry move.  cpu_seconds is measured
- * (not modeled), so rows are machine-dependent; each config reports
- * the best of five runs to damp scheduler noise.
- */
-void
-run_cohort_ablation(bench::JsonReporter &json)
-{
-    // A dedicated fixture, larger than the micro one: ~16 MiB of edge
-    // data in two big blocks, so each loaded block far outsizes a
-    // typical L2 and the adjacency reads the kernel prefetches would
-    // otherwise miss into the outer caches.
-    graph::CsrGraph graph =
-        graph::generate_rmat({.scale = 17,
-                              .edge_factor = 16,
-                              .a = 0.57,
-                              .b = 0.19,
-                              .c = 0.19,
-                              .seed = 11,
-                              .symmetrize = true,
-                              .weighted = false});
-    storage::MemDevice device(storage::SsdModel::p4618());
-    graph::GraphFile::write(graph, device);
-    graph::GraphFile file(device);
-    graph::BlockPartition partition(file, file.edge_region_bytes() / 2);
-
-    const graph::VertexId n = file.num_vertices();
-    const std::uint64_t walkers = 2ULL * n;
-    std::printf("\nStep-cohort ablation: basic walk L=10, %llu walkers, "
-                "%u blocks, %.1f MiB edge data\n",
-                static_cast<unsigned long long>(walkers),
-                static_cast<unsigned>(partition.num_blocks()),
-                static_cast<double>(file.edge_region_bytes()) /
-                    (1 << 20));
-    bench::print_table_header(
-        "Cohort", {"cohort", "cpu_s", "steps/cpu_s", "cohorts",
-                   "sw_prefetches", "cpu vs scalar"});
-    const std::vector<unsigned> cohorts{0u, 4u, 16u, 64u};
-    std::vector<engine::RunStats> bests(cohorts.size());
-    // Interleave the repetitions round-robin across configs: noise on
-    // a shared machine drifts over seconds, and back-to-back reps of
-    // one config would fold that drift into the cross-config ratios.
-    // min-of-9 per config keeps the estimator below the drift floor.
-    for (int rep = 0; rep < 9; ++rep) {
-        for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
-            apps::BasicRandomWalk app(10, n);
-            core::EngineConfig cfg = core::EngineConfig::full(
-                0, partition.max_block_bytes());
-            cfg.step_cohort = cohorts[ci];
-            core::NosWalkerEngine<apps::BasicRandomWalk> eng(
-                file, partition, cfg);
-            const auto s = eng.run(app, walkers);
-            if (rep == 0 || s.cpu_seconds < bests[ci].cpu_seconds) {
-                bests[ci] = s;
-            }
-        }
-    }
-    double scalar_cpu = 0.0;
-    for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
-        const unsigned cohort = cohorts[ci];
-        const engine::RunStats &best = bests[ci];
-        if (cohort == 0) {
-            scalar_cpu = best.cpu_seconds;
-        }
-        const double ratio =
-            scalar_cpu > 0.0 ? best.cpu_seconds / scalar_cpu : 0.0;
-        bench::print_table_row(
-            {std::to_string(cohort),
-             bench::fmt_double(best.cpu_seconds, 4),
-             bench::fmt_count(static_cast<std::uint64_t>(
-                 best.cpu_seconds > 0.0
-                     ? static_cast<double>(best.steps) / best.cpu_seconds
-                     : 0.0)),
-             bench::fmt_count(best.kernel_cohorts),
-             bench::fmt_count(best.kernel_prefetches),
-             cohort > 0 ? bench::fmt_double(ratio, 3) : "1.000"});
-        bench::JsonRecord record;
-        record.engine = best.engine;
-        record.dataset = "rmat-cohort";
-        record.workload = "step_cohort_" + std::to_string(cohort);
-        record.steps = best.steps;
-        record.io_busy_seconds = best.io_busy_seconds;
-        record.cpu_seconds = best.cpu_seconds;
-        record.peak_memory = best.peak_memory;
-        record.extras = {
-            {"step_cohort", static_cast<double>(cohort)},
-            {"cpu_vs_scalar", ratio},
-            {"kernel_cohorts",
-             static_cast<double>(best.kernel_cohorts)},
-            {"kernel_prefetches",
-             static_cast<double>(best.kernel_prefetches)},
-            {"kernel_scalar_fallbacks",
-             static_cast<double>(best.kernel_scalar_fallbacks)},
-        };
-        json.add(std::move(record));
-    }
-}
-
-/**
  * Plan-window ablation (DESIGN.md §13): the same walk at plan_window
  * 0 (greedy top-K nomination) / 2 / 4 / 8, depth-4 pipeline, against a
  * half-warm shared cache so residency credits and the one-step flow
@@ -763,7 +661,6 @@ main(int argc, char **argv)
     benchmark::Shutdown();
     run_prefetch_ablation(json);
     run_reorder_ablation(json);
-    run_cohort_ablation(json);
     run_plan_window_ablation(json);
     run_plan_march_ablation(json);
     return 0;

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full build + test suite, then a
-# ThreadSanitizer pass over the concurrent service/queue code.
+# Tier-1 verification: the full build + test suite, a ThreadSanitizer
+# pass over the concurrent suites (the `tsan` test preset in
+# CMakePresets.json holds the list), and a smoke run of the storage and
+# shard benches.
 #
 # Usage: scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -13,38 +15,15 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo
-echo "== tier 1: ThreadSanitizer (service, queue, step pool, parallel stepping, prefetch, shards, step kernel, load planner, traffic fuzz) =="
+echo "== tier 1: ThreadSanitizer (ctest --preset tsan) =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$JOBS" --target noswalker_tests
-# The 50-seed fuzz sweep stays in the full (fast) build; TSan runs the
-# reduced seed sweep (TrafficModel.ReducedSeedSweepHoldsInvariants).
-ctest --test-dir build-tsan -R 'Service|BlockingQueue|ThreadPool|ParallelStep|Prefetch|AsyncLoader|Reorder|SharedBlockCache|Sharded|Migration|MigrationOverlap|ShardPresample|StepKernel|LoadPlanner|PlanWindow|TrafficModel|Backpressure' -E 'FiftySeeded' --output-on-failure
+ctest --preset tsan
 
 echo
-echo "== tier 1: prefetch smoke (reorder-window + depth ablations) =="
-ctest --test-dir build -R 'Prefetch' --output-on-failure -j "$JOBS"
+echo "== tier 1: bench smoke (micro_storage ablations + shard scaling) =="
 ./build/bench/micro_storage --benchmark_filter=BM_SsdModelRequest --benchmark_min_time=0.01 >/dev/null
-
-echo
-echo "== tier 1: sharded smoke (cross-shard bit-identity + migration conservation) =="
-ctest --test-dir build -R 'Sharded|Migration|ShardPlan' --output-on-failure -j "$JOBS"
 ./build/bench/shard_scaling >/dev/null
-
-echo
-echo "== tier 1: shard-overlap smoke (barrier vs overlapped bit-identity + shard presample) =="
-ctest --test-dir build -R 'MigrationOverlap|ShardPresample' --output-on-failure -j "$JOBS"
-
-echo
-echo "== tier 1: cohort smoke (scalar vs cohort bit-identity + batch draws) =="
-ctest --test-dir build -R 'StepKernel|AliasTableBatch' --output-on-failure -j "$JOBS"
-
-echo
-echo "== tier 1: plan-window smoke (greedy passthrough + bit-identity across windows) =="
-ctest --test-dir build -R 'LoadPlanner|PlanWindow' --output-on-failure -j "$JOBS"
-
-echo
-echo "== tier 1: service-traffic fuzz smoke (seeded episodes + conservation invariants + tenant backpressure) =="
-ctest --test-dir build -R 'FuzzService|TrafficModel|Backpressure' --output-on-failure -j "$JOBS"
 
 echo
 echo "tier 1 passed"

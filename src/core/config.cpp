@@ -32,10 +32,6 @@ EngineConfig::validate() const
         throw util::ConfigError(
             "EngineConfig: plan_window must be <= 64");
     }
-    if (step_cohort > 1024) {
-        throw util::ConfigError(
-            "EngineConfig: step_cohort must be <= 1024");
-    }
     if (num_shards == 0 || num_shards > 256) {
         throw util::ConfigError(
             "EngineConfig: num_shards must be in [1, 256]");

@@ -78,21 +78,6 @@ struct EngineConfig {
     unsigned prefetch_depth = 2;
 
     /**
-     * Interleaved step-kernel cohort size (DESIGN.md §12): each worker
-     * shard's walkers are stepped through a ring of this many lanes,
-     * with software prefetches issued for every lane's next data
-     * source (CSR offsets, adjacency lines, alias rows, pre-sample
-     * slots) one stage before the draw — the miss of one walker hides
-     * behind useful work on the rest of the cohort (ThunderRW-style
-     * step interleaving).  0 or 1 = the legacy one-walker-at-a-time
-     * scalar loop.  Walk output is bit-identical at every value:
-     * per-walker streams make each trajectory independent of how
-     * walkers interleave, and outcomes are folded back in walker-index
-     * order.
-     */
-    unsigned step_cohort = 16;
-
-    /**
      * Graph shards executed concurrently by shard::ShardedEngine (1 =
      * the plain single-engine path).  Each shard owns a contiguous
      * block range, a private modeled device, and a 1/N slice of the

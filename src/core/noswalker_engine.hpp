@@ -84,7 +84,6 @@ class NosWalkerEngine {
     /** What the pool parks: the app walker + its sampling stream. */
     using Record = engine::Stepped<WalkerT>;
     static constexpr bool kSecondOrder = engine::kIsSecondOrder<App>;
-    static constexpr bool kWalkerAware = engine::kIsWalkerAware<App>;
 
     /**
      * @param file  the on-disk graph.
@@ -97,12 +96,6 @@ class NosWalkerEngine {
         : file_(&file), partition_(&partition), config_(config)
     {
         config_.validate();
-        if constexpr (kWalkerAware) {
-            // Shared pre-samples would make a request's output depend
-            // on what else shares the run; walker-aware apps forgo
-            // them (their contract is batch-composition independence).
-            config_.presample = false;
-        }
     }
 
     /**
@@ -299,9 +292,8 @@ class NosWalkerEngine {
     }
 
   private:
-    /** The interleaved cohort stepping loop reuses the engine's private
-     *  resolution helpers so per-step semantics live in one place
-     *  (DESIGN.md §12). */
+    /** The step loop (DESIGN.md §12) reads the engine's per-round
+     *  state: residency, pre-sample buffers, shard ownership. */
     template <typename E>
     friend class StepKernel;
 
@@ -562,7 +554,8 @@ class NosWalkerEngine {
         if (request.fine) {
             request.needed.reserve(pool_->parked(block));
             for (const Record &rec : peek_bucket(block)) {
-                request.needed.push_back(waiting_vertex_of(rec));
+                request.needed.push_back(
+                    engine::waiting_vertex(*app_, rec.w));
             }
         }
         return request;
@@ -625,17 +618,6 @@ class NosWalkerEngine {
         return pool_->bucket_view(block);
     }
 
-    graph::VertexId
-    waiting_vertex_of(const Record &rec) const
-    {
-        if constexpr (kSecondOrder) {
-            return app_->has_candidate(rec.w) ? app_->candidate(rec.w)
-                                              : rec.w.location;
-        } else {
-            return rec.w.location;
-        }
-    }
-
     /** Generate walkers while the pool admits them (Algorithm 1 l.7). */
     void
     admit_walkers(App &app, const storage::AsyncLoader::Response *resp)
@@ -665,16 +647,6 @@ class NosWalkerEngine {
         }
     }
 
-    /** Generate walker @p id with its private sampling stream. */
-    Record
-    make_record(App &app, std::uint64_t id)
-    {
-        Record rec;
-        rec.w = app.generate(id);
-        rec.rng_state = util::derive_stream(run_seed_, id);
-        return rec;
-    }
-
     /**
      * The next walker to admit: freshly generated, or — in shard mode
      * — the next pre-routed record (generated once by the sharded
@@ -686,7 +658,7 @@ class NosWalkerEngine {
         if (shard_mode_) {
             return std::move(seed_records_[generated_]);
         }
-        return make_record(app, generated_);
+        return engine::seed_record(app, generated_, run_seed_);
     }
 
     /** Park @p rec at its waiting block (scheduler thread only). */
@@ -694,7 +666,7 @@ class NosWalkerEngine {
     park_now(Record rec)
     {
         const std::uint32_t b =
-            partition_->block_of(waiting_vertex_of(rec));
+            partition_->block_of(engine::waiting_vertex(*app_, rec.w));
         if (!owns_block(b)) {
             // Another shard owns the data; hand the walker (and its
             // live stream) to the round's outbox.  The pool slot is
@@ -930,9 +902,8 @@ class NosWalkerEngine {
 
     /**
      * Step records[begin, end) — one worker shard's span — through the
-     * cohort kernel, or the legacy scalar loop when the kernel is off
-     * (step_cohort <= 1) or the span is too small to interleave.  Both
-     * paths produce bit-identical walk output (DESIGN.md §12).
+     * step kernel (DESIGN.md §12).  A one-record span is a one-lane
+     * ring, counted in kernel_scalar_fallbacks.
      */
     void
     step_span(App &app, std::vector<Record> &records, std::size_t begin,
@@ -942,18 +913,12 @@ class NosWalkerEngine {
         if (begin >= end) {
             return;
         }
-        if (config_.step_cohort >= 2 && end - begin >= 2) {
-            const storage::BlockBuffer *buf =
-                resp != nullptr ? &resp->buffer : nullptr;
-            StepKernel<NosWalkerEngine>::run(*this, app, records, begin,
-                                             end, buf, delta,
-                                             config_.step_cohort);
-            return;
+        if (end - begin == 1) {
+            ++delta.kernel_scalar_fallbacks;
         }
-        ++delta.kernel_scalar_fallbacks;
-        for (std::size_t i = begin; i < end; ++i) {
-            chain_move(app, std::move(records[i]), resp, delta);
-        }
+        StepKernel<NosWalkerEngine>::run(
+            *this, app, records, begin, end,
+            resp != nullptr ? &resp->buffer : nullptr, delta);
     }
 
     /** Fold one worker's delta into the engine (scheduler thread). */
@@ -978,11 +943,10 @@ class NosWalkerEngine {
             emigrants_out_->push_back(std::move(rec));
         }
         if (planner_ != nullptr) {
-            // Single-writer merge point for both the scalar and the
-            // cohort-kernel paths: every parked walker is one observed
-            // (processed block → waiting block) transition.  Fresh
-            // injections (flow_src_ == kNoBlock) are ignored — they
-            // are arrivals, not flow.
+            // Single-writer merge point: every parked walker is one
+            // observed (processed block → waiting block) transition.
+            // Fresh injections (flow_src_ == kNoBlock) are ignored —
+            // they are arrivals, not flow.
             planner_->record_exits(flow_src_,
                                    delta.retired +
                                        delta.emigrants.size());
@@ -997,212 +961,6 @@ class NosWalkerEngine {
                 spill_->park(block, 1);
             }
         }
-    }
-
-    /**
-     * Move @p rec as far as in-memory data allows (re-entry + pre-
-     * sample chains), then record its park or retirement in @p delta.
-     * Runs on step workers: touches only read-only engine state, the
-     * walker itself, pre-sample atomics, and @p delta.
-     */
-    void
-    chain_move(App &app, Record rec,
-               const storage::AsyncLoader::Response *resp,
-               StepDelta &delta)
-    {
-        const storage::BlockBuffer *buf =
-            resp != nullptr ? &resp->buffer : nullptr;
-        for (;;) {
-            if constexpr (kSecondOrder) {
-                if (app.has_candidate(rec.w)) {
-                    if (!resolve_candidate(app, rec, buf, delta)) {
-                        park_into(std::move(rec), delta);
-                        return;
-                    }
-                    if (!app.active(rec.w)) {
-                        ++delta.retired;
-                        return;
-                    }
-                    continue;
-                }
-            }
-            if (!app.active(rec.w)) {
-                ++delta.retired;
-                return;
-            }
-            const graph::VertexId v = rec.w.location;
-            if (file_->degree(v) == 0) {
-                // Dead end: the walk cannot continue (no out-edges).
-                ++delta.retired;
-                return;
-            }
-            if (!advance_once(app, rec, v, buf, delta)) {
-                if (park_into(std::move(rec), delta)) {
-                    ++delta.stalls;
-                }
-                return;
-            }
-        }
-    }
-
-    /**
-     * Defer parking to the post-barrier merge (thread-local buffer).
-     * @return false when the walker emigrated instead of parking: its
-     *         waiting block belongs to another shard.
-     */
-    bool
-    park_into(Record rec, StepDelta &delta)
-    {
-        const std::uint32_t b =
-            partition_->block_of(waiting_vertex_of(rec));
-        if (!owns_block(b)) {
-            delta.emigrants.push_back(std::move(rec));
-            return false;
-        }
-        delta.parked.emplace_back(b, std::move(rec));
-        return true;
-    }
-
-    /**
-     * Try to move @p rec one step using resident data.
-     *
-     * use_loaded_block (§3.3.5) controls the *priority*: when on, the
-     * currently loaded block serves the walker before any reserved
-     * pre-sample is consumed (so pre-samples are only spent when the
-     * block is not resident); when off, pre-samples are consumed
-     * eagerly and the block is only a fallback.
-     *
-     * @return false when neither source can serve vertex @p v.
-     */
-    bool
-    advance_once(App &app, Record &rec, graph::VertexId v,
-                 const storage::BlockBuffer *buf, StepDelta &delta)
-    {
-        if (config_.use_loaded_block &&
-            move_via_block(app, rec, v, buf, delta)) {
-            return true;
-        }
-        if (presample_enabled_ &&
-            move_via_presamples(app, rec, v, delta)) {
-            return true;
-        }
-        if (!config_.use_loaded_block &&
-            move_via_block(app, rec, v, buf, delta)) {
-            return true;
-        }
-        return false;
-    }
-
-    /** One step from the loaded block's adjacency, if resident. */
-    bool
-    move_via_block(App &app, Record &rec, graph::VertexId v,
-                   const storage::BlockBuffer *buf, StepDelta &delta)
-    {
-        if (buf == nullptr || buf->info() == nullptr ||
-            !buf->info()->contains(v) || !buf->vertex_loaded(*file_, v)) {
-            return false;
-        }
-        const graph::VertexView view = buf->view(*file_, v);
-        util::Rng rng(util::splitmix_next(rec.rng_state));
-        graph::VertexId next;
-        if constexpr (kWalkerAware) {
-            next = app.sample_for(rec.w, view);
-        } else {
-            next = app.sample(view, rng);
-        }
-        app.action(rec.w, next, rng);
-        ++delta.block_steps;
-        count_step(delta);
-        return true;
-    }
-
-    /** One step from the reserved pre-samples, if the buffer holds
-     *  this generation's reservoir for @p v. */
-    bool
-    move_via_presamples(App &app, Record &rec, graph::VertexId v,
-                        StepDelta &delta)
-    {
-        if constexpr (kWalkerAware) {
-            // Never reached (the constructor forces presample off), but
-            // guard anyway: shared samples would break the walker-aware
-            // batch-composition-independence contract.
-            return false;
-        }
-        PreSampleBuffer *ps = find_presamples(partition_->block_of(v));
-        if (ps == nullptr) {
-            return false;
-        }
-        if (ps->is_direct(v)) {
-            const graph::VertexView view = ps->direct_view(v);
-            util::Rng rng(util::splitmix_next(rec.rng_state));
-            const graph::VertexId next = app.sample(view, rng);
-            app.action(rec.w, next, rng);
-            ++delta.presample_steps;
-            count_step(delta);
-            return true;
-        }
-        if (ps->has(v)) {
-            // The walker's own stream picks the slot, so the step is
-            // identical no matter which thread executes it.
-            util::Rng rng(util::splitmix_next(rec.rng_state));
-            const graph::VertexId next = ps->sample(v, rng);
-            if (app.action(rec.w, next, rng)) {
-                ps->consume(v);
-            }
-            ++delta.presample_steps;
-            count_step(delta);
-            return true;
-        }
-        ps->record_visit(v);
-        return false;
-    }
-
-    void
-    count_step(StepDelta &delta)
-    {
-        if constexpr (!kSecondOrder) {
-            ++delta.steps;
-        }
-        // Second-order: a step completes only when a candidate is
-        // accepted (counted in resolve_candidate).
-    }
-
-    /**
-     * Second order: resolve the pending rejection trial of @p rec if
-     * the candidate's adjacency is resident.
-     * @return false when the candidate's data is not available.
-     */
-    bool
-    resolve_candidate(App &app, Record &rec,
-                      const storage::BlockBuffer *buf, StepDelta &delta)
-    {
-        static_assert(kSecondOrder);
-        const graph::VertexId c = app.candidate(rec.w);
-        graph::VertexView view;
-        bool have = false;
-        if (buf != nullptr && buf->info() != nullptr &&
-            buf->info()->contains(c) && buf->vertex_loaded(*file_, c)) {
-            view = buf->view(*file_, c);
-            have = true;
-        } else if (presample_enabled_) {
-            PreSampleBuffer *ps =
-                find_presamples(partition_->block_of(c));
-            if (ps != nullptr && ps->is_direct(c)) {
-                view = ps->direct_view(c);
-                have = true;
-            }
-        }
-        if (!have) {
-            return false;
-        }
-        ++delta.rejection_trials;
-        util::Rng rng(util::splitmix_next(rec.rng_state));
-        if (app.rejection(rec.w, view, rng)) {
-            ++delta.steps;
-        } else {
-            ++delta.rejection_rejected;
-        }
-        return true;
     }
 
     void

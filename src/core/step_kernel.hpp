@@ -1,49 +1,49 @@
 /**
  * @file
- * Interleaved cohort step kernel (DESIGN.md §12).
+ * The engine's step loop: an interleaved cohort kernel (DESIGN.md §12).
  *
- * The scalar inner loop (NosWalkerEngine::chain_move) walks one record
- * at a time: every step issues a dependent chain of cold reads — the
- * CSR offset entry, then the adjacency/alias lines, then the sampled
- * target — and the core stalls on each miss.  ThunderRW showed 3–5× on
- * exactly this loop shape from *step interleaving*: keep a small
- * cohort of walkers in flight and hide one walker's miss behind useful
- * work on the others.
+ * Stepping one walker at a time issues a dependent chain of cold reads
+ * per step — the CSR offset entry, then the adjacency/alias lines, then
+ * the sampled target — and the core stalls on each miss.  ThunderRW
+ * showed 3–5× on exactly this loop shape from *step interleaving*: keep
+ * a small cohort of walkers in flight and hide one walker's miss behind
+ * useful work on the others.
  *
- * This kernel rotates a worker shard's records through a ring of
- * `EngineConfig::step_cohort` lanes.  Each rotation is two stages:
+ * This kernel rotates a worker shard's records through a ring of kLanes
+ * lanes (fewer when the span is shorter; a one-record span is a
+ * one-lane ring).  Each rotation is two stages:
  *
  *   1. **resolve + gather** — for every lane, decide which resident
- *      source will serve the walker's next event (the loaded block, a
- *      pre-sample reservoir, a direct low-degree reservation, or a
- *      second-order candidate's adjacency) by replaying chain_move's
- *      exact decision tree, then issue software prefetches for the
+ *      source will serve the walker's next event by the paper's step
+ *      rule (§3.3.5, Algorithm 1 l.9-12: the loaded block first, then
+ *      the pre-samples — a reservoir draw or a direct low-degree
+ *      reservation — else park; for second-order walkers, the pending
+ *      candidate's adjacency), then issue software prefetches for the
  *      bytes the draw will touch.  The event's RNG is constructed here
- *      (one stage early — same per-walker stream order), so draw-hint
- *      apps can dry-run the draw on a copy and name the *exact* line
- *      sample() will read (DrawHintApp); other apps fall back to
- *      head-line hints (GatherHintApp / gather_prefetch).  Resolution
- *      is *pure* apart from the walker's own rng_state advance: it
- *      reads only per-round immutable state (block residency,
- *      published drain snapshots, CSR degrees), so no lane's
- *      resolution depends on another lane's progress.
+ *      from the walker's own stream, so draw-hint apps can dry-run the
+ *      draw on a copy and name the *exact* line sample() will read
+ *      (DrawHintApp); other apps fall back to head-line hints
+ *      (GatherHintApp / gather_prefetch).  Resolution is *pure* apart
+ *      from the walker's own rng_state advance: it reads only per-round
+ *      immutable state (block residency, published drain snapshots,
+ *      CSR degrees), so no lane's resolution depends on another lane's
+ *      progress.
  *   2. **sample + advance** — consume the prefetched lines: draw from
  *      the walker's private stream, apply the app action, and either
  *      keep the lane (the walker can move again next rotation) or bank
  *      its outcome and refill the lane with the next pending record.
  *
- * Bit-identity with the scalar path holds by construction: each
- * walker's own event sequence (decision tree + RNG draws) is executed
- * by the same code in the same per-walker order; the only cross-walker
- * state touched mid-round is commutative atomics that are never read
- * back before the round barrier (DESIGN.md §9); and retired / parked /
- * emigrant outcomes are banked per input slot, then folded into the
- * StepDelta in walker-index order — exactly the sequence the scalar
- * loop would have produced — so the engine's deterministic worker-order
- * merge is untouched.
+ * Output does not depend on the lane count or on how spans are cut:
+ * each walker's own event sequence (decision + RNG draws) runs in its
+ * own order; the only cross-walker state touched mid-round is
+ * commutative atomics never read back before the round barrier
+ * (DESIGN.md §9); and retired / parked / emigrant outcomes are banked
+ * per input slot, then folded into the StepDelta in walker-index order,
+ * so the engine's deterministic worker-order merge sees one sequence.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -58,11 +58,11 @@
 namespace noswalker::core {
 
 /**
- * The interleaved stepping loop over one worker shard's records.
+ * The step loop over one worker shard's records.
  *
  * @tparam E  the owning NosWalkerEngine instantiation (friend access:
- *            the kernel reuses the engine's resolution helpers and
- *            StepDelta so the per-step semantics live in one place).
+ *            the kernel reads the engine's per-round state and fills
+ *            its StepDelta).
  */
 template <typename E>
 class StepKernel {
@@ -71,30 +71,28 @@ class StepKernel {
     using Record = typename E::Record;
     using Delta = typename E::StepDelta;
 
+    /** Lanes in the ring (DESIGN.md §12). */
+    static constexpr std::size_t kLanes = 16;
+
     /**
-     * Step records[begin, end) to their park/retire points through a
-     * @p cohort-lane ring, accumulating into @p delta.  Consumes the
-     * records.  Runs on step workers under the same contract as
-     * chain_move: reads engine state, writes only @p delta, the
-     * walkers themselves, and pre-sample atomics.
+     * Step records[begin, end) to their park/retire points, accumulating
+     * into @p delta.  Consumes the records.  Runs on step workers: reads
+     * engine state, writes only @p delta, the walkers themselves, and
+     * pre-sample atomics.
      */
     static void
     run(E &eng, App &app, std::vector<Record> &records, std::size_t begin,
-        std::size_t end, const storage::BlockBuffer *buf, Delta &delta,
-        unsigned cohort)
+        std::size_t end, const storage::BlockBuffer *buf, Delta &delta)
     {
         const std::size_t n = end - begin;
-        const std::size_t width =
-            n < static_cast<std::size_t>(cohort)
-                ? n
-                : static_cast<std::size_t>(cohort);
+        const std::size_t width = std::min(n, kLanes);
         std::vector<Outcome> outcomes(n);
         std::vector<Lane> lanes(width);
 
         std::size_t next = begin;
         std::size_t live = 0;
         for (Lane &lane : lanes) {
-            admit(eng, lane, records, next, begin, delta);
+            admit(eng, app, lane, records, next, begin, delta);
             ++live;
         }
 
@@ -102,7 +100,7 @@ class StepKernel {
         // Small on purpose: each resolved lane has 2-4 prefetches in
         // flight, and a core tracks only ~10-12 outstanding fills —
         // resolving the whole ring up front (the naive two-phase shape)
-        // would drop most hints at larger cohort sizes.
+        // would drop most hints.
         constexpr std::size_t kLookahead = 4;
 
         while (live > 0) {
@@ -130,7 +128,8 @@ class StepKernel {
                     // record into the freed lane (resolved next
                     // rotation).
                     if (next < end) {
-                        admit(eng, lane, records, next, begin, delta);
+                        admit(eng, app, lane, records, next, begin,
+                              delta);
                     } else {
                         lane.live = false;
                         --live;
@@ -145,8 +144,7 @@ class StepKernel {
             }
         }
 
-        // Fold the banked outcomes in walker-index order: the exact
-        // parked/emigrant sequence the scalar loop produces, so the
+        // Fold the banked outcomes in walker-index order, so the
         // downstream worker-order merge stays deterministic.
         for (Outcome &o : outcomes) {
             switch (o.tag) {
@@ -211,7 +209,7 @@ class StepKernel {
 
     /** Load records[next] into @p lane and warm its CSR offset entry. */
     static void
-    admit(E &eng, Lane &lane, std::vector<Record> &records,
+    admit(E &eng, const App &app, Lane &lane, std::vector<Record> &records,
           std::size_t &next, std::size_t begin, Delta &delta)
     {
         lane.index = next - begin;
@@ -219,7 +217,7 @@ class StepKernel {
         ++next;
         lane.live = true;
         lane.source = Source::kUnresolved;
-        const graph::VertexId v = eng.waiting_vertex_of(lane.rec);
+        const graph::VertexId v = engine::waiting_vertex(app, lane.rec.w);
         delta.kernel_prefetches += util::prefetch_range(
             eng.file_->offsets().data() + v, 2 * sizeof(graph::EdgeIndex),
             2);
@@ -255,7 +253,7 @@ class StepKernel {
     }
 
     /**
-     * Stage 1 for one lane: chain_move's decision tree, split from its
+     * Stage 1 for one lane: the step rule's decision, split from its
      * side effects.  Reads only per-round immutable state, so the
      * resolution is independent of the other lanes' stage-2 progress.
      */
@@ -312,34 +310,29 @@ class StepKernel {
             gather(app, rec, lane.view, lane.rng, delta);
             return;
         }
-        if constexpr (!E::kWalkerAware) {
-            if (eng.presample_enabled_) {
-                PreSampleBuffer *ps =
-                    eng.find_presamples(eng.partition_->block_of(v));
-                if (ps != nullptr) {
-                    if (ps->is_direct(v)) {
-                        lane.source = Source::kPsDirect;
-                        lane.view = ps->direct_view(v);
-                        lane.rng =
-                            util::Rng(util::splitmix_next(rec.rng_state));
-                        gather(app, rec, lane.view, lane.rng, delta);
-                        return;
-                    }
-                    if (ps->has(v)) {
-                        lane.source = Source::kPsSample;
-                        lane.ps = ps;
-                        lane.rng =
-                            util::Rng(util::splitmix_next(rec.rng_state));
-                        delta.kernel_prefetches +=
-                            ps->prefetch_draw(v, lane.rng);
-                        return;
-                    }
-                    // Dry reservoir: the stage-2 visit feeds the
-                    // rebuild history exactly as the scalar path does,
-                    // whether or not the block then serves the step.
-                    lane.ps = ps;
-                    lane.ps_visit = true;
+        if (eng.presample_enabled_) {
+            PreSampleBuffer *ps =
+                eng.find_presamples(eng.partition_->block_of(v));
+            if (ps != nullptr) {
+                if (ps->is_direct(v)) {
+                    lane.source = Source::kPsDirect;
+                    lane.view = ps->direct_view(v);
+                    lane.rng = util::Rng(util::splitmix_next(rec.rng_state));
+                    gather(app, rec, lane.view, lane.rng, delta);
+                    return;
                 }
+                if (ps->has(v)) {
+                    lane.source = Source::kPsSample;
+                    lane.ps = ps;
+                    lane.rng = util::Rng(util::splitmix_next(rec.rng_state));
+                    delta.kernel_prefetches +=
+                        ps->prefetch_draw(v, lane.rng);
+                    return;
+                }
+                // Dry reservoir: the stage-2 visit feeds the rebuild
+                // history whether or not the block then serves the step.
+                lane.ps = ps;
+                lane.ps_visit = true;
             }
         }
         if (!eng.config_.use_loaded_block && in_block) {
@@ -377,8 +370,7 @@ class StepKernel {
     }
 
     /**
-     * Stage 2 for one lane: the side effects of one chain_move
-     * iteration against the resolved source.
+     * Stage 2 for one lane: the side effects of the resolved event.
      * @return true when the walker stays in the lane (moved a step).
      */
     static bool
@@ -412,12 +404,7 @@ class StepKernel {
                 lane.ps->record_visit(lane.v);
             }
             util::Rng &rng = lane.rng;
-            graph::VertexId next;
-            if constexpr (E::kWalkerAware) {
-                next = app.sample_for(rec.w, lane.view);
-            } else {
-                next = app.sample(lane.view, rng);
-            }
+            const graph::VertexId next = app.sample(lane.view, rng);
             app.action(rec.w, next, rng);
             ++delta.block_steps;
             count_step(delta);
@@ -449,7 +436,7 @@ class StepKernel {
                 lane.ps->record_visit(lane.v);
             }
             const std::uint32_t b =
-                eng.partition_->block_of(eng.waiting_vertex_of(rec));
+                eng.partition_->block_of(engine::waiting_vertex(app, rec.w));
             Outcome &o = outcomes[lane.index];
             if (!eng.owns_block(b)) {
                 o.tag = Outcome::Tag::kEmigrant;

@@ -17,6 +17,7 @@
 #include <concepts>
 #include <cstdint>
 
+#include "engine/walker.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/types.hpp"
 #include "util/rng.hpp"
@@ -69,28 +70,38 @@ template <typename A>
 inline constexpr bool kIsSecondOrder = SecondOrderApp<A>;
 
 /**
- * Walker-aware extension: the app draws each step from per-walker
- * random state instead of the engine's run-wide stream.
- *
- * This is what makes multi-tenant serving reproducible: a walker's
- * trajectory becomes a pure function of (its request seed, its walk
- * index, the graph), independent of how requests were batched together
- * or scheduled across worker threads.  The price is that shared
- * pre-sample buffers cannot serve such walkers (a reserved sample is
- * drawn from an anonymous stream), so the engine disables pre-sampling
- * for walker-aware apps.
+ * Stream-key extension — the RNG contract (DESIGN.md §9).  Every walker
+ * samples from a private SplitMix64 stream carried beside it
+ * (engine::Stepped), advanced once per sampling event.  By default
+ * walker n's stream starts at derive_stream(run seed, n); an app that
+ * keys trajectories differently supplies stream(n) instead.  The walk
+ * service keys them by (request seed, walk index), so a request's
+ * output does not depend on what else shared its batch.
  */
 template <typename A>
-concept WalkerAwareApp =
-    RandomWalkApp<A> &&
-    requires(A app, typename A::WalkerT &w,
-             const graph::VertexView &view) {
-        { app.sample_for(w, view) } -> std::same_as<graph::VertexId>;
+concept StreamKeyApp =
+    RandomWalkApp<A> && requires(const A app, std::uint64_t n) {
+        { app.stream(n) } -> std::same_as<std::uint64_t>;
     };
 
-/** Compile-time dispatch helper. */
-template <typename A>
-inline constexpr bool kIsWalkerAware = WalkerAwareApp<A>;
+/**
+ * Walker @p n of @p app paired with its initial stream state.  The one
+ * place records are seeded, shared by the plain and sharded engines so
+ * both start every trajectory identically.
+ */
+template <RandomWalkApp App>
+Stepped<typename App::WalkerT>
+seed_record(App &app, std::uint64_t n, std::uint64_t run_seed)
+{
+    Stepped<typename App::WalkerT> rec;
+    rec.w = app.generate(n);
+    if constexpr (StreamKeyApp<App>) {
+        rec.rng_state = app.stream(n);
+    } else {
+        rec.rng_state = util::derive_stream(run_seed, n);
+    }
+    return rec;
+}
 
 /**
  * Gather-hint extension (DESIGN.md §12): the app exposes the addresses
@@ -98,8 +109,8 @@ inline constexpr bool kIsWalkerAware = WalkerAwareApp<A>;
  * gather stage can prefetch them one pipeline stage ahead of the draw.
  *
  * gather(w, view) must be a pure hint — no walker or app state may
- * change and no random draws may be consumed — so skipping it (scalar
- * path, non-GNU compilers) cannot change walk output.  It returns the
+ * change and no random draws may be consumed — so skipping it
+ * (non-GNU compilers) cannot change walk output.  It returns the
  * number of hints issued, which feeds RunStats::kernel_prefetches.
  */
 template <typename A>

@@ -68,8 +68,7 @@ struct RunStats {
     std::uint64_t kernel_cohorts = 0;
     /** Software prefetch hints issued by the kernel's gather stage. */
     std::uint64_t kernel_prefetches = 0;
-    /** Walker batches stepped by the legacy scalar loop instead of the
-     *  cohort kernel (kernel off, or the batch was too small). */
+    /** Single-walker spans, stepped as a one-lane ring. */
     std::uint64_t kernel_scalar_fallbacks = 0;
 
     /** Steps served by reserved pre-samples (§3.3.5 counts separately). */

@@ -40,11 +40,11 @@ struct SecondOrderWalker {
  * Engine-side wrapper pairing an application walker with its private
  * sampling stream (SplitMix64 state, one advance per sampling event).
  *
- * The stream is derived from (run seed, walker id) at generation time,
- * so a walker's trajectory is a pure function of the seed and the
- * graph — independent of how walkers interleave across step threads.
- * This generalizes the WalkerAware apps' per-walker seeding to every
- * application.
+ * The stream is seeded once, at generation time, by
+ * engine::seed_record: from (run seed, walker id), or from the app's
+ * stream key (engine::StreamKeyApp).  A walker's trajectory is then a
+ * pure function of that key and the graph — independent of how walkers
+ * interleave across step threads.
  */
 template <typename WalkerT>
 struct Stepped {

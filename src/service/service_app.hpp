@@ -4,11 +4,11 @@
  *
  * Every request in a batch becomes a Slot owning a fenced range of the
  * walker id space; generate() maps a walker id to its slot via binary
- * search.  Steps are drawn from per-walker SplitMix64 state carried in
- * the walker record (engine::WalkerAwareApp), which makes each walk a
- * pure function of (request seed, walk index, graph): results are
- * bit-identical no matter how requests were coalesced or how many
- * service workers ran them.
+ * search.  stream() keys each walker's RNG stream by (request seed, walk
+ * index) — the engine's stream-key hook (engine::StreamKeyApp) — which
+ * makes each walk a pure function of (request seed, walk index, graph):
+ * results are bit-identical no matter how requests were coalesced or
+ * how many service workers ran them.
  */
 #pragma once
 
@@ -26,13 +26,11 @@
 
 namespace noswalker::service {
 
-/** Walker with its own random stream (see file comment). */
+/** A service walker; its stream travels beside it (engine::Stepped). */
 struct ServiceWalker {
     std::uint64_t id = 0;
     graph::VertexId location = 0;
     std::uint32_t step = 0;
-    /** SplitMix64 state advanced once per sampled step. */
-    std::uint64_t rng_state = 0;
 };
 
 /** One batched engine run over the requests coalesced into it. */
@@ -64,10 +62,13 @@ class ServiceWalkApp {
             std::make_unique<std::mutex>();
     };
 
-    /** Append @p request to the batch. @p request must outlive the app. */
+    /** Append @p request to the batch. @p request must outlive the app.
+     *  A batch is all weighted or all unweighted: the dispatcher groups
+     *  requests by that flag. */
     void
     add_request(const WalkRequest &request)
     {
+        weighted_ = request.weighted;
         Slot slot;
         slot.request = &request;
         slot.first_walker = total_walkers_;
@@ -100,9 +101,6 @@ class ServiceWalkApp {
         w.id = n;
         w.location = start;
         w.step = 0;
-        // Decorrelate per-walk streams: seed ^ golden-ratio-spread walk
-        // index, then one mixing round.
-        w.rng_state = util::derive_stream(req.seed, k);
         if (req.kind == WalkKind::kEndpoints) {
             slot.endpoints[k] = start;
         } else if (req.kind == WalkKind::kPaths) {
@@ -114,28 +112,22 @@ class ServiceWalkApp {
         return w;
     }
 
-    /** Anonymous-stream sampling (pre-sample fills; unused here because
-     *  walker-aware apps run with pre-sampling disabled). */
-    graph::VertexId
-    sample(const graph::VertexView &view, util::Rng &rng)
+    /** Walk k of a request starts its stream at derive_stream(request
+     *  seed, k), whatever else shares the batch. */
+    std::uint64_t
+    stream(std::uint64_t n) const
     {
-        return view.sample_uniform(rng);
+        const Slot &slot = slot_of(n);
+        return util::derive_stream(slot.request->seed,
+                                   n - slot.first_walker);
     }
 
-    /** Per-walker deterministic step (engine::WalkerAwareApp). */
+    /** One step's draw from the walker's own stream. */
     graph::VertexId
-    sample_for(WalkerT &w, const graph::VertexView &view)
+    sample(const graph::VertexView &view, util::Rng &rng) const
     {
-        const std::uint64_t z = util::splitmix_next(w.rng_state);
-        const Slot &slot = slot_of(w.id);
-        if (slot.request->weighted) {
-            util::Rng rng(z);
-            return view.sample_weighted(rng);
-        }
-        const std::uint64_t degree = view.degree();
-        const auto idx = static_cast<std::size_t>(
-            (static_cast<unsigned __int128>(z) * degree) >> 64);
-        return view.targets[idx];
+        return weighted_ ? view.sample_weighted(rng)
+                         : view.sample_uniform(rng);
     }
 
     bool
@@ -201,9 +193,10 @@ class ServiceWalkApp {
     std::vector<Slot> slots_;
     std::vector<std::uint64_t> fences_; ///< cumulative end walker ids
     std::uint64_t total_walkers_ = 0;
+    bool weighted_ = false;
 };
 
 static_assert(engine::RandomWalkApp<ServiceWalkApp>);
-static_assert(engine::WalkerAwareApp<ServiceWalkApp>);
+static_assert(engine::StreamKeyApp<ServiceWalkApp>);
 
 } // namespace noswalker::service

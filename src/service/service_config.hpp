@@ -133,14 +133,6 @@ struct ServiceConfig {
     bool shard_overlap = true;
 
     /**
-     * Deterministic shard-local pre-sampling inside shard rounds (see
-     * EngineConfig::shard_presample).  Request output stays a pure
-     * function of (request seed, shard plan) — i.e. fixed num_shards —
-     * but differs from other shard counts, hence default off.
-     */
-    bool shard_presample = false;
-
-    /**
      * Over-budget policy: true queues requests until workers free
      * memory; false rejects at submission when the request would not
      * fit right now.

@@ -173,7 +173,10 @@ class BatchRunner {
         ec.plan_window = config.plan_window;
         ec.num_shards = config.num_shards;
         ec.shard_overlap = config.shard_overlap;
-        ec.shard_presample = config.shard_presample;
+        // Shared pre-sample reservoirs would make a request's output
+        // depend on what else shares its batch, so service engines
+        // draw every step from the walker's own stream.
+        ec.presample = false;
         return ec;
     }
 

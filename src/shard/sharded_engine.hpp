@@ -69,7 +69,6 @@
 #include "shard/shard_device.hpp"
 #include "shard/shard_plan.hpp"
 #include "util/memory_budget.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -212,9 +211,7 @@ class ShardedEngine {
         // round 1 opens with zero migrations.
         std::vector<std::vector<Record>> inbox(n);
         for (std::uint64_t id = 0; id < total_walkers; ++id) {
-            Record rec;
-            rec.w = app.generate(id);
-            rec.rng_state = util::derive_stream(seed, id);
+            Record rec = engine::seed_record(app, id, seed);
             const unsigned owner = plan_.assign_walker(
                 *partition_, engine::waiting_vertex(app, rec.w));
             inbox[owner].push_back(std::move(rec));
@@ -485,29 +482,19 @@ class ShardedEngine {
         double io = 0.0;
         double wait = 0.0;
         for (const engine::RunStats &s : round_stats) {
-            total.walkers += s.walkers;
-            total.steps += s.steps;
-            total.graph_bytes_read += s.graph_bytes_read;
-            total.graph_read_requests += s.graph_read_requests;
-            total.edges_loaded += s.edges_loaded;
-            total.swap_bytes += s.swap_bytes;
-            total.blocks_loaded += s.blocks_loaded;
-            total.fine_loads += s.fine_loads;
-            total.cache_hit_blocks += s.cache_hit_blocks;
-            total.cache_miss_blocks += s.cache_miss_blocks;
-            total.prefetch_hits += s.prefetch_hits;
-            total.prefetch_mispredicts += s.prefetch_mispredicts;
-            total.planned_loads += s.planned_loads;
-            total.plan_rescores += s.plan_rescores;
-            total.plan_cache_credits += s.plan_cache_credits;
-            total.presample_steps += s.presample_steps;
-            total.block_steps += s.block_steps;
-            total.stalls += s.stalls;
-            total.rejection_trials += s.rejection_trials;
-            total.rejection_rejected += s.rejection_rejected;
             cpu = std::max(cpu, s.cpu_seconds);
             io = std::max(io, s.io_busy_seconds);
             wait = std::max(wait, s.io_wait_seconds);
+            // Counters fold through operator+=; the phases join as
+            // maxima below, and the sharded record keeps its own label
+            // and I/O efficiency (an idle shard reports the defaults).
+            engine::RunStats counters = s;
+            counters.engine.clear();
+            counters.io_efficiency = total.io_efficiency;
+            counters.cpu_seconds = 0.0;
+            counters.io_busy_seconds = 0.0;
+            counters.io_wait_seconds = 0.0;
+            total += counters;
         }
         total.cpu_seconds += cpu;
         total.io_busy_seconds += io;

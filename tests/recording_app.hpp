@@ -137,8 +137,8 @@ static_assert(engine::DrawHintApp<ConcurrentRecordingWalk>);
  * PersonalizedPageRank wrapper recording endpoints and atomic visit
  * counts (the app's own record_visits mode mutates an unordered_map in
  * action() and is not thread safe, so the suites use this instead).
- * Forwards the gather hint, so cohort runs exercise the app-refined
- * prefetch path.
+ * Forwards the gather hints, so the step kernel exercises the
+ * app-refined prefetch path.
  */
 class RecordingPpr {
   public:

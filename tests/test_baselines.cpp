@@ -370,6 +370,33 @@ TEST(RunStats, ScaledAndAccumulateRoundTripNewerCounters)
     EXPECT_TRUE(sum.pipelined);
 }
 
+TEST(RunStatsKernel, CountersAggregateAndScale)
+{
+    engine::RunStats a;
+    a.kernel_cohorts = 10;
+    a.kernel_prefetches = 1000;
+    a.kernel_scalar_fallbacks = 4;
+    engine::RunStats b;
+    b.kernel_cohorts = 6;
+    b.kernel_prefetches = 200;
+    b.kernel_scalar_fallbacks = 1;
+
+    a += b;
+    EXPECT_EQ(a.kernel_cohorts, 16u);
+    EXPECT_EQ(a.kernel_prefetches, 1200u);
+    EXPECT_EQ(a.kernel_scalar_fallbacks, 5u);
+
+    const engine::RunStats half = a.scaled(0.5);
+    EXPECT_EQ(half.kernel_cohorts, 8u);
+    EXPECT_EQ(half.kernel_prefetches, 600u);
+    EXPECT_EQ(half.kernel_scalar_fallbacks, 3u); // rounds half-up
+
+    const std::string dump = a.to_string();
+    EXPECT_NE(dump.find("kernel_cohorts=16"), std::string::npos);
+    EXPECT_NE(dump.find("kernel_prefetches=1200"), std::string::npos);
+    EXPECT_NE(dump.find("kernel_scalar_fallbacks=5"), std::string::npos);
+}
+
 TEST(RunStats, DerivedMetrics)
 {
     engine::RunStats s;

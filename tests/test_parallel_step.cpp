@@ -3,7 +3,9 @@
  * The tentpole guarantee of the parallel stepping path: walk output is
  * bit-identical at 1, 2, and 8 step threads, because every trajectory
  * is a pure function of (run seed, walker id) and pre-sample drying is
- * published at round granularity.
+ * published at round granularity.  Thread counts also change how the
+ * step kernel's spans are cut, so these suites double as its
+ * span-independence check.
  *
  * The recording apps (tests/recording_app.hpp) are thread safe the way
  * service apps are: each walker owns a private endpoint slot, and
@@ -28,6 +30,7 @@ namespace {
 
 using testing_support::ConcurrentRecordingWalk;
 using testing_support::RecordingNode2Vec;
+using testing_support::RecordingPpr;
 
 class ParallelStepTest : public testing::Test {
   protected:
@@ -81,6 +84,8 @@ TEST_F(ParallelStepTest, BasicWalkIsBitIdenticalAcrossThreadCounts)
         }
         visits.push_back(std::move(v));
         steps.push_back(stats.steps);
+        EXPECT_GT(stats.kernel_cohorts, 0u);
+        EXPECT_GT(stats.kernel_prefetches, 0u);
     }
     // Dead ends retire walkers early, so the budget is an upper bound.
     EXPECT_GT(steps[0], 0u);
@@ -107,6 +112,36 @@ TEST_F(ParallelStepTest, PresampleOffIsBitIdenticalAcrossThreadCounts)
     }
     EXPECT_EQ(endpoints[1], endpoints[0]);
     EXPECT_EQ(endpoints[2], endpoints[0]);
+}
+
+TEST_F(ParallelStepTest, PprIsBitIdenticalAcrossThreadCounts)
+{
+    // A few query sources spread across the id range, so the walkers
+    // hop blocks and exercise the park/stall paths.
+    const graph::VertexId n = file_->num_vertices();
+    const std::vector<graph::VertexId> sources{0, n / 3, n / 2, n - 1};
+    std::vector<std::vector<graph::VertexId>> endpoints;
+    std::vector<std::vector<std::uint32_t>> visits;
+    std::vector<std::uint64_t> steps;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        RecordingPpr app(sources, 120, 12, n);
+        core::NosWalkerEngine<RecordingPpr> eng(
+            *file_, *partition_, config(threads, /*presample=*/true));
+        const auto stats = eng.run(app, app.total_walkers());
+        endpoints.push_back(app.endpoints);
+        std::vector<std::uint32_t> v(app.visits.size());
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            v[i] = app.visits[i].load();
+        }
+        visits.push_back(std::move(v));
+        steps.push_back(stats.steps);
+    }
+    EXPECT_GT(steps[0], 0u);
+    for (std::size_t t = 1; t < endpoints.size(); ++t) {
+        EXPECT_EQ(steps[t], steps[0]);
+        EXPECT_EQ(endpoints[t], endpoints[0]) << "thread config " << t;
+        EXPECT_EQ(visits[t], visits[0]) << "thread config " << t;
+    }
 }
 
 TEST_F(ParallelStepTest, Node2VecIsBitIdenticalAcrossThreadCounts)

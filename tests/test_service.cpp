@@ -27,10 +27,11 @@ struct Fixture {
     std::unique_ptr<graph::GraphFile> file;
     std::unique_ptr<graph::BlockPartition> partition;
 
-    Fixture(graph::CsrGraph g, std::uint64_t block_bytes)
+    Fixture(graph::CsrGraph g, std::uint64_t block_bytes,
+            bool with_alias = false)
         : graph(std::move(g))
     {
-        graph::GraphFile::write(graph, device);
+        graph::GraphFile::write(graph, device, with_alias);
         file = std::make_unique<graph::GraphFile>(device);
         partition =
             std::make_unique<graph::BlockPartition>(*file, block_bytes);
@@ -140,6 +141,60 @@ TEST(WalkService, ResultsBitIdenticalAcrossWorkerCountsAndBatching)
             EXPECT_EQ(results[i].stats.walkers,
                       reference[i].stats.walkers);
             EXPECT_EQ(results[i].stats.steps, reference[i].stats.steps);
+        }
+    }
+}
+
+TEST(WalkService, WeightedResultsBitIdenticalAndFollowRealEdges)
+{
+    // Every other request is weighted: those batches draw alias rows
+    // from each walker's own stream, the rest sample uniformly.  Results
+    // must not depend on worker count or batching, and every hop must
+    // be a real edge.
+    Fixture s(graph::generate_rmat({.scale = 9,
+                                    .edge_factor = 8,
+                                    .a = 0.57,
+                                    .b = 0.19,
+                                    .c = 0.19,
+                                    .seed = 21,
+                                    .symmetrize = false,
+                                    .weighted = true}),
+              4096, /*with_alias=*/true);
+    auto requests = canned_requests(s.file->num_vertices());
+    for (std::size_t i = 0; i < requests.size(); i += 2) {
+        requests[i].weighted = true;
+    }
+
+    ServiceConfig base;
+    base.cache_bytes = 1ULL << 20;
+    base.batch_window_seconds = 0.002;
+
+    ServiceConfig solo = base;
+    solo.num_workers = 1;
+    solo.max_batch = 1;
+    const auto reference = run_all(s, solo, requests);
+
+    ServiceConfig batched = base;
+    batched.num_workers = 4;
+    batched.max_batch = 8;
+    const auto results = run_all(s, batched, requests);
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        ASSERT_EQ(reference[i].status, WalkStatus::kOk)
+            << "request " << i << ": " << reference[i].error;
+        ASSERT_EQ(results[i].status, WalkStatus::kOk)
+            << "request " << i << ": " << results[i].error;
+        EXPECT_EQ(results[i].endpoints, reference[i].endpoints)
+            << "request " << i;
+        EXPECT_EQ(results[i].paths, reference[i].paths) << "request " << i;
+        EXPECT_EQ(results[i].top_visits, reference[i].top_visits)
+            << "request " << i;
+        EXPECT_EQ(results[i].stats.steps, reference[i].stats.steps);
+        for (const auto &path : results[i].paths) {
+            for (std::size_t j = 0; j + 1 < path.size(); ++j) {
+                ASSERT_TRUE(s.graph.has_edge(path[j], path[j + 1]))
+                    << path[j] << "->" << path[j + 1] << " is not an edge";
+            }
         }
     }
 }

@@ -317,6 +317,29 @@ TEST_F(ShardedEngineTest, MigrationConservationNoLeaksAtClose)
     EXPECT_EQ(shard_steps, stats.steps);
 }
 
+TEST_F(ShardedEngineTest, KernelCountersSumOverShards)
+{
+    // Regression: the round fold once summed a hand-written field list
+    // that left out the kernel counters, so a sharded run reported
+    // kernel_cohorts = 0 while its shards stepped through the kernel.
+    constexpr std::uint64_t kWalkers = 400;
+    ShardRecordingWalk app(16, file_->num_vertices(), kWalkers);
+    shard::ShardedEngine<ShardRecordingWalk> eng(*file_, *partition_,
+                                                 config(2, 1));
+    const auto stats = eng.run(app, kWalkers);
+
+    std::uint64_t cohorts = 0;
+    std::uint64_t prefetches = 0;
+    for (const engine::RunStats &s : eng.shard_stats()) {
+        cohorts += s.kernel_cohorts;
+        prefetches += s.kernel_prefetches;
+    }
+    EXPECT_GT(cohorts, 0u);
+    EXPECT_EQ(stats.kernel_cohorts, cohorts);
+    EXPECT_EQ(stats.kernel_prefetches, prefetches);
+    EXPECT_EQ(stats.engine, "ShardedNosWalker");
+}
+
 TEST_F(ShardedEngineTest, SlicedBudgetMatchesUnbudgetedRun)
 {
     constexpr std::uint64_t kWalkers = 300;

@@ -162,6 +162,37 @@ TEST(AliasTable, AllZeroWeightsThrows)
     EXPECT_THROW(table.build(w), ConfigError);
 }
 
+TEST(AliasTableBatch, SampleBatchMatchesSequentialDrawForDraw)
+{
+    for (const std::size_t outcomes : {1UL, 3UL, 17UL, 1000UL}) {
+        std::vector<double> weights(outcomes);
+        util::Rng wrng(911 + outcomes);
+        for (double &w : weights) {
+            w = wrng.next_double() * 10.0;
+        }
+        weights[0] += 1.0; // at least one strictly positive weight
+        const util::AliasTable table(weights);
+
+        for (const std::size_t n : {1UL, 5UL, 64UL, 257UL}) {
+            const std::uint64_t seed = 1234 + outcomes * 1000 + n;
+            util::Rng seq(seed);
+            std::vector<std::uint32_t> expected(n);
+            for (std::uint32_t &draw : expected) {
+                draw = table.sample(seq);
+            }
+
+            util::Rng batch(seed);
+            std::vector<std::uint32_t> got(n);
+            table.sample_batch(batch, got.data(), n);
+            EXPECT_EQ(got, expected)
+                << outcomes << " outcomes, batch of " << n;
+            // The generators must also agree *after* the draws, so a
+            // caller can keep using the stream either way.
+            EXPECT_EQ(batch(), seq());
+        }
+    }
+}
+
 TEST(AliasArrays, MatchAliasTableSemantics)
 {
     const std::vector<double> w = {5.0, 1.0, 2.0};

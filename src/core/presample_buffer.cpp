@@ -6,89 +6,63 @@
 
 namespace noswalker::core {
 
-PreSampleBuffer::PreSampleBuffer(const graph::GraphFile &file,
-                                 const graph::BlockInfo &block,
-                                 const BuildParams &params,
-                                 const PreSampleBuffer *previous,
-                                 util::MemoryBudget &budget)
-    : block_id_(block.id), first_vertex_(block.first_vertex),
-      weighted_(file.weighted())
+bool
+PreSampleBuffer::plan(const graph::GraphFile &file,
+                      const graph::BlockInfo &block,
+                      const BuildParams &params,
+                      const PreSampleBuffer *previous, Plan &out)
 {
-    const graph::VertexId nv = block.num_vertices();
-    idx_.assign(static_cast<std::size_t>(nv) + 1, 0);
-    // Atomics are neither copyable nor movable element-wise; construct
-    // a fresh zero-initialized vector and move the buffer in.
-    cnt_ = std::vector<std::atomic<std::uint32_t>>(nv);
-    snap_.assign(nv, 0);
-    direct_.assign(nv, 0);
-    filled_.assign(nv, 0);
+    const std::uint64_t nv = block.num_vertices();
+    out.block_id = block.id;
+    out.first_vertex = block.first_vertex;
+    out.weighted = file.weighted();
 
+    // idx (nv + 1), cnt and the dry list (nv each), direct and state
+    // (one byte each per vertex).
     const std::uint64_t meta_bytes =
-        idx_.capacity() * sizeof(std::uint32_t) +
-        cnt_.capacity() * sizeof(std::atomic<std::uint32_t>) +
-        snap_.capacity() * sizeof(std::uint32_t) +
-        direct_.capacity() + filled_.capacity();
-    const std::uint32_t slot_bytes =
+        (nv + 1) * sizeof(std::uint32_t) +
+        nv * (2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t));
+    const std::uint64_t slot_bytes =
         sizeof(graph::VertexId) +
-        (weighted_ ? sizeof(graph::Weight) : 0u);
-
+        (out.weighted ? sizeof(graph::Weight) : 0u);
     if (params.max_bytes <= meta_bytes) {
-        throw util::BudgetExceeded("PreSampleBuffer: cap below meta size");
+        return false;
     }
     const std::uint64_t slot_budget =
         (params.max_bytes - meta_bytes) / slot_bytes;
+    const std::uint32_t *history =
+        previous != nullptr && previous->first_vertex_ == block.first_vertex
+            ? previous->cnt_.data()
+            : nullptr;
 
-    // Pass 1: mandatory direct reservations for low-degree vertices and
-    // history weights for the rest.
-    std::uint64_t direct_slots = 0;
-    std::uint64_t total_weight = 0;
-    std::vector<std::uint32_t> weight(nv, 0);
-    for (graph::VertexId v = block.first_vertex; v < block.end_vertex;
-         ++v) {
-        const std::uint32_t deg = file.degree(v);
-        const std::size_t i = index_of(v);
-        if (deg == 0) {
-            continue;
-        }
-        if (deg <= params.low_degree_cutoff) {
-            direct_[i] = 1;
-            direct_slots += deg;
-        } else {
-            const std::uint32_t hist =
-                previous != nullptr &&
-                        previous->first_vertex_ == first_vertex_
-                    ? previous->cnt_[i].load(std::memory_order_relaxed)
-                    : 0;
-            weight[i] = 1 + hist;
-            total_weight += weight[i];
-        }
-    }
-
-    // Pass 2: demand-driven quotas — base_quota scaled by the visit
-    // history (§3.3.2: quota ≈ proportional to cnt), clamped to the
-    // per-vertex cap.  A byte-budget overshoot is corrected below.
-    (void)total_weight;
+    // Mandatory direct reservations for low-degree vertices (§3.3.4);
+    // demand-driven quotas for the rest — base_quota scaled by the
+    // visit history (§3.3.2: quota ≈ proportional to cnt), clamped to
+    // the per-vertex cap.  A byte-budget overshoot is corrected below.
+    out.idx.resize(nv + 1);
+    out.direct.assign(nv, 0);
     std::uint64_t pos = 0;
-    for (graph::VertexId v = block.first_vertex; v < block.end_vertex;
-         ++v) {
-        const std::size_t i = index_of(v);
-        idx_[i] = static_cast<std::uint32_t>(pos);
-        const std::uint32_t deg = file.degree(v);
+    for (std::size_t i = 0; i < nv; ++i) {
+        out.idx[i] = static_cast<std::uint32_t>(pos);
+        const std::uint32_t deg = file.degree(
+            block.first_vertex + static_cast<graph::VertexId>(i));
         std::uint32_t slots = 0;
         if (deg == 0) {
             slots = 0;
-        } else if (direct_[i]) {
+        } else if (deg <= params.low_degree_cutoff) {
+            out.direct[i] = 1;
             slots = deg;
         } else {
+            const std::uint32_t weight =
+                1 + (history != nullptr ? history[i] : 0);
             const std::uint64_t want =
-                static_cast<std::uint64_t>(params.base_quota) *
-                weight[i];
+                static_cast<std::uint64_t>(params.base_quota) * weight;
             slots = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
                 want, params.base_quota, params.max_quota));
         }
         pos += slots;
     }
-    idx_[nv] = static_cast<std::uint32_t>(pos);
+    out.idx[nv] = static_cast<std::uint32_t>(pos);
 
     // If rounding overshot the slot budget, scale down uniformly by
     // truncating per-vertex quotas (rare; keeps the byte cap honest).
@@ -96,38 +70,65 @@ PreSampleBuffer::PreSampleBuffer(const graph::GraphFile &file,
         const double scale = static_cast<double>(slot_budget) /
                              static_cast<double>(pos);
         std::uint64_t new_pos = 0;
-        std::vector<std::uint32_t> new_idx(idx_.size());
-        for (graph::VertexId v = 0; v < nv; ++v) {
-            new_idx[v] = static_cast<std::uint32_t>(new_pos);
-            std::uint32_t slots = idx_[v + 1] - idx_[v];
-            if (!direct_[v]) {
+        std::uint32_t begin = out.idx[0];
+        for (std::size_t i = 0; i < nv; ++i) {
+            const std::uint32_t end = out.idx[i + 1];
+            std::uint32_t slots = end - begin;
+            if (!out.direct[i]) {
                 slots = static_cast<std::uint32_t>(
                     static_cast<double>(slots) * scale);
             }
+            out.idx[i] = static_cast<std::uint32_t>(new_pos);
             new_pos += slots;
+            begin = end;
         }
-        new_idx[nv] = static_cast<std::uint32_t>(new_pos);
-        idx_ = std::move(new_idx);
+        out.idx[nv] = static_cast<std::uint32_t>(new_pos);
         pos = new_pos;
     }
+    out.bytes = meta_bytes + pos * slot_bytes;
+    return true;
+}
 
-    edges_.assign(pos, graph::kInvalidVertex);
-    if (weighted_) {
-        dweights_.assign(pos, 0.0f);
+PreSampleBuffer::PreSampleBuffer(const graph::GraphFile &file,
+                                 const graph::BlockInfo &block,
+                                 const BuildParams &params,
+                                 const PreSampleBuffer *previous,
+                                 util::MemoryBudget &budget)
+{
+    Plan p;
+    if (!plan(file, block, params, previous, p)) {
+        throw util::BudgetExceeded("PreSampleBuffer: cap below meta size");
     }
+    util::Reservation charge(budget, p.bytes, "presample buffer");
+    rebuild(p, std::move(charge));
+}
 
-    const std::uint64_t total_bytes =
-        meta_bytes + edges_.capacity() * sizeof(graph::VertexId) +
-        dweights_.capacity() * sizeof(graph::Weight);
-    reservation_ =
-        util::Reservation(budget, total_bytes, "presample buffer");
+void
+PreSampleBuffer::rebuild(Plan &plan, util::Reservation charge)
+{
+    block_id_ = plan.block_id;
+    first_vertex_ = plan.first_vertex;
+    weighted_ = plan.weighted;
+    idx_.swap(plan.idx);
+    direct_.swap(plan.direct);
+    const std::size_t nv = idx_.size() - 1;
+    const std::size_t slots = idx_[nv];
+    cnt_.assign(nv, 0);
+    dry_.resize(nv);
+    dry_count_.store(0, std::memory_order_relaxed);
+    state_.assign(nv, 0);
+    edges_.assign(slots, graph::kInvalidVertex);
+    dweights_.assign(weighted_ ? slots : 0, 0.0f);
+    consumed_.store(0, std::memory_order_relaxed);
+    stalled_.store(0, std::memory_order_relaxed);
+    reservation_ = std::move(charge);
 }
 
 graph::VertexView
 PreSampleBuffer::direct_view(graph::VertexId v) const
 {
     const std::size_t i = index_of(v);
-    NOSWALKER_CHECK(filled_[i] && direct_[i]);
+    NOSWALKER_CHECK(is_direct(v));
     const std::uint32_t begin = idx_[i];
     const std::uint32_t n = idx_[i + 1] - begin;
     graph::VertexView view;

@@ -15,18 +15,19 @@
  * consume() advances an atomic per-vertex cursor.  Drawing from the
  * walker's stream instead of handing out slots in arrival order is
  * what makes walk output independent of how walkers interleave across
- * step threads.  Drying is *snapshot-published*: has() compares the
- * vertex's quota against a drain snapshot that publish_drain() copies
- * from the live cursors, and the engine publishes only at shard
- * barriers (between step rounds).  Every walker in a round therefore
- * sees the same availability state — the round in which a vertex runs
- * dry depends on deterministic per-round draw totals, never on thread
- * interleaving — while a dried vertex still stalls walkers until its
- * block reloads and a fresh generation re-samples it, bounding how
- * long any reservoir can serve (the paper's §3.3.2 consume-once queue
- * gives the same bound; the with-replacement + snapshot variant trades
- * a small per-round overshoot for thread-count determinism; see
- * DESIGN.md).
+ * step threads.  Drying is *round-published*: the one increment that
+ * moves a vertex's cursor onto its quota appends the vertex to a dry
+ * list, and publish_drain() marks the listed vertices dry — work only
+ * for the vertices that ran dry, not a copy of every cursor.  The
+ * engine publishes only at shard barriers (between step rounds), so
+ * every walker in a round sees the same availability state — the
+ * round in which a vertex runs dry depends on deterministic per-round
+ * draw totals, never on thread interleaving — while a dried vertex
+ * still stalls walkers until its block reloads and a fresh generation
+ * re-samples it, bounding how long any reservoir can serve (the
+ * paper's §3.3.2 consume-once queue gives the same bound; the
+ * with-replacement + round-published variant trades a small per-round
+ * overshoot for thread-count determinism; see DESIGN.md §9).
  *
  * Low-degree vertices (§3.3.4) get their full edge list "reserved"
  * instead of samples: their slots hold the real adjacency (plus weights
@@ -64,21 +65,60 @@ class PreSampleBuffer {
     };
 
     /**
-     * Plan the allocation for @p block of @p file.
+     * A planned allocation: per-vertex slot offsets and direct flags
+     * plus the exact bytes the buffer will charge.  A rebuild plans
+     * once, before reserving, so fitting it into the pool costs
+     * evictions, never re-plans.  rebuild() swaps storage with the
+     * plan, so one Plan reused across rebuilds reuses its vectors too.
+     */
+    struct Plan {
+        std::uint32_t block_id = 0;
+        graph::VertexId first_vertex = 0;
+        bool weighted = false;
+        std::vector<std::uint32_t> idx;   ///< slot offsets, nv + 1
+        std::vector<std::uint8_t> direct; ///< full-edge reservation flag
+        /** Meta arrays + slots, computed from sizes (not capacities). */
+        std::uint64_t bytes = 0;
+    };
+
+    /**
+     * Plan the allocation for @p block of @p file into @p out.
      *
      * @param previous  the block's previous buffer generation (or null);
-     *                  its cnt values weight the new quotas.
-     * @param budget    the buffer's memory is reserved here.
-     * @throws util::BudgetExceeded when even the meta array cannot fit.
+     *                  its cnt values weight the new quotas.  May be the
+     *                  buffer about to be rebuilt from @p out.
+     * @return false when even the meta array cannot fit
+     *         params.max_bytes (@p out is then unusable).
+     */
+    static bool plan(const graph::GraphFile &file,
+                     const graph::BlockInfo &block,
+                     const BuildParams &params,
+                     const PreSampleBuffer *previous, Plan &out);
+
+    /** An empty buffer serving no block until rebuild(). */
+    PreSampleBuffer() = default;
+
+    /**
+     * plan() + rebuild() on fresh storage, reserving from @p budget.
      *
-     * After construction the buffer is *planned but unfilled*: the
-     * engine streams the block once and calls fill_vertex per vertex
-     * (different vertices may be filled from different threads).
+     * @throws util::BudgetExceeded when even the meta array cannot fit
+     *         params.max_bytes, or @p budget cannot hold the plan.
      */
     PreSampleBuffer(const graph::GraphFile &file,
                     const graph::BlockInfo &block, const BuildParams &params,
                     const PreSampleBuffer *previous,
                     util::MemoryBudget &budget);
+
+    /**
+     * Become the planned-but-unfilled buffer @p plan describes,
+     * reusing this buffer's storage, and hold @p charge (plan.bytes)
+     * instead of the old reservation.  The old generation's samples,
+     * cursors and history are gone; @p plan gets the old storage.
+     *
+     * The engine then streams the block once and calls fill_vertex per
+     * vertex (different vertices may be filled from different threads).
+     */
+    void rebuild(Plan &plan, util::Reservation charge);
 
     /** Block this buffer serves. */
     std::uint32_t block_id() const { return block_id_; }
@@ -116,8 +156,7 @@ class PreSampleBuffer {
         if (slots == 0) {
             return;
         }
-        cnt_[i].store(0, std::memory_order_relaxed);
-        filled_[i] = 1;
+        state_[i] |= kFilled;
         graph::VertexId *out = edges_.data() + idx_[i];
         if (direct_[i]) {
             for (std::uint32_t k = 0; k < slots; ++k) {
@@ -138,35 +177,43 @@ class PreSampleBuffer {
 
     /**
      * True when @p v can serve a draw: filled this generation and not
-     * yet dry *as of the last published drain snapshot*.  Direct
-     * vertices never dry (they hold the real adjacency, §3.3.4).
+     * yet dry *as of the last publish_drain()*.  Direct vertices never
+     * dry (they hold the real adjacency, §3.3.4).
      */
     bool
     has(graph::VertexId v) const
     {
         const std::size_t i = index_of(v);
-        if (filled_[i] == 0) {
+        const std::uint8_t state = state_[i];
+        if ((state & kFilled) == 0) {
             return false;
         }
-        if (direct_[i]) {
-            return true;
-        }
-        return snap_[i] < idx_[i + 1] - idx_[i];
+        return direct_[i] || (state & kDry) == 0;
     }
 
     /**
-     * Publish the live consumption cursors into the drain snapshot
-     * has() consults.  Scheduler thread only, between step rounds: the
-     * pool's fork-join barrier orders these plain writes against the
-     * workers' reads, and round-granular visibility is what keeps the
-     * drying point identical at any step-thread count.
+     * Mark the vertices that ran dry since the last call dry for
+     * has().  Scheduler thread only, between step rounds: the pool's
+     * fork-join barrier orders the workers' list appends before these
+     * plain writes and these writes before the next round's reads, and
+     * round-granular visibility is what keeps the drying point
+     * identical at any step-thread count.
      */
     void
     publish_drain()
     {
-        for (std::size_t i = 0; i < snap_.size(); ++i) {
-            snap_[i] = cnt_[i].load(std::memory_order_relaxed);
+        const std::uint32_t n = dry_count_.load(std::memory_order_relaxed);
+        for (std::uint32_t k = 0; k < n; ++k) {
+            state_[dry_[k]] |= kDry;
         }
+        dry_count_.store(0, std::memory_order_relaxed);
+    }
+
+    /** Vertices that ran dry since the last publish_drain(). */
+    std::uint32_t
+    dry_pending() const
+    {
+        return dry_count_.load(std::memory_order_relaxed);
     }
 
     /** True when @p v's full edge list is reserved (§3.3.4). */
@@ -174,7 +221,7 @@ class PreSampleBuffer {
     is_direct(graph::VertexId v) const
     {
         const std::size_t i = index_of(v);
-        return filled_[i] && direct_[i];
+        return (state_[i] & kFilled) != 0 && direct_[i];
     }
 
     /**
@@ -237,7 +284,7 @@ class PreSampleBuffer {
     void
     consume(graph::VertexId v)
     {
-        cnt_[index_of(v)].fetch_add(1, std::memory_order_relaxed);
+        count(index_of(v));
         consumed_.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -259,7 +306,7 @@ class PreSampleBuffer {
     void
     record_visit(graph::VertexId v)
     {
-        cnt_[index_of(v)].fetch_add(1, std::memory_order_relaxed);
+        count(index_of(v));
         stalled_.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -274,33 +321,63 @@ class PreSampleBuffer {
     /** Total slots allocated in this generation. */
     std::uint64_t slot_count() const { return edges_.size(); }
 
-    /** Visit/consumption history of @p v (the rebuild weight). */
+    /** Visit/consumption history of @p v (the rebuild weight).  Read
+     *  between step rounds, never while consumers count. */
     std::uint32_t
     visits(graph::VertexId v) const
     {
-        return cnt_[index_of(v)].load(std::memory_order_relaxed);
+        return cnt_[index_of(v)];
     }
 
     /** Bytes reserved against the budget. */
     std::uint64_t memory_bytes() const { return reservation_.bytes(); }
 
+    /** Give the charge back (an evicted buffer kept for its storage;
+     *  rebuild() charges it again). */
+    void release() { reservation_.release(); }
+
   private:
+    /** state_ bits: filled this generation; published dry. */
+    static constexpr std::uint8_t kFilled = 1;
+    static constexpr std::uint8_t kDry = 2;
+
     std::size_t
     index_of(graph::VertexId v) const
     {
         return static_cast<std::size_t>(v - first_vertex_);
     }
 
+    /** Bump vertex @p i's cursor; the one increment that lands it on
+     *  the quota lists the vertex for the next publish_drain().  The
+     *  cursor starts at zero each generation and only grows, so a
+     *  vertex is listed at most once and the list never outgrows nv. */
+    void
+    count(std::size_t i)
+    {
+        const std::uint32_t before =
+            std::atomic_ref<std::uint32_t>(cnt_[i]).fetch_add(
+                1, std::memory_order_relaxed);
+        if (before + 1 == idx_[i + 1] - idx_[i]) {
+            dry_[dry_count_.fetch_add(1, std::memory_order_relaxed)] =
+                static_cast<std::uint32_t>(i);
+        }
+    }
+
     std::uint32_t block_id_ = 0;
     graph::VertexId first_vertex_ = 0;
     bool weighted_ = false;
     std::vector<std::uint32_t> idx_; ///< size nv+1
-    /** Consumed draws + stall visits per vertex (atomic cursors). */
-    std::vector<std::atomic<std::uint32_t>> cnt_;
-    /** Drain snapshot has() reads (see publish_drain). */
-    std::vector<std::uint32_t> snap_;
+    /** Consumed draws + stall visits per vertex; counted through
+     *  std::atomic_ref so rebuilds can reuse the storage. */
+    std::vector<std::uint32_t> cnt_;
+    static_assert(std::atomic_ref<std::uint32_t>::required_alignment <=
+                  alignof(std::uint32_t));
+    /** Vertices (offsets from first_vertex_) that ran dry since the
+     *  last publish_drain(); nv entries, the first dry_count_ valid. */
+    std::vector<std::uint32_t> dry_;
+    std::atomic<std::uint32_t> dry_count_{0};
     std::vector<std::uint8_t> direct_;   ///< full-edge reservation flag
-    std::vector<std::uint8_t> filled_;   ///< fill_vertex completed
+    std::vector<std::uint8_t> state_;    ///< kFilled | kDry
     std::vector<graph::VertexId> edges_; ///< slot storage
     std::vector<graph::Weight> dweights_; ///< weights for direct slots
     std::atomic<std::uint64_t> consumed_{0}; ///< total draws (drain estimate)

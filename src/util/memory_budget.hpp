@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "util/error.hpp"
@@ -117,6 +118,23 @@ class Reservation {
         : budget_(&budget), bytes_(bytes)
     {
         budget.reserve(bytes, label);
+    }
+
+    /**
+     * Reserve @p bytes from @p budget if they fit.
+     * @return the reservation, or nullopt (nothing reserved) when the
+     *         cap would be exceeded.
+     */
+    static std::optional<Reservation>
+    try_make(MemoryBudget &budget, std::uint64_t bytes)
+    {
+        if (!budget.try_reserve(bytes)) {
+            return std::nullopt;
+        }
+        Reservation held;
+        held.budget_ = &budget;
+        held.bytes_ = bytes;
+        return held;
     }
 
     Reservation(Reservation &&other) noexcept

@@ -108,7 +108,7 @@ struct EngineConfig {
      * Re-enable pre-sampling inside shard rounds (DESIGN.md §11).
      * Shard reservoirs are filled from shard-owned blocks with streams
      * derived from (seed, block id, rebuild generation), and drying is
-     * snapshot-published at step-round barriers, so with this on walk
+     * published at step-round barriers, so with this on walk
      * output is still a pure function of (seed, shard plan): identical
      * across step-thread counts and across barrier/overlapped
      * migration.  It is *not* identical across different shard counts

@@ -25,7 +25,7 @@
  *      (DrawHintApp); other apps fall back to head-line hints
  *      (GatherHintApp / gather_prefetch).  Resolution is *pure* apart
  *      from the walker's own rng_state advance: it reads only per-round
- *      immutable state (block residency, published drain snapshots,
+ *      immutable state (block residency, published dry marks,
  *      CSR degrees), so no lane's resolution depends on another lane's
  *      progress.
  *   2. **sample + advance** — consume the prefetched lines: draw from
@@ -110,8 +110,8 @@ class StepKernel {
             // prefetches have had the longest to land, resolve the next
             // unresolved lane behind it.  Every live lane is resolved
             // exactly once before it executes; resolution reads only
-            // per-round immutable state (residency, degrees, drain
-            // snapshots), so executing lane i never perturbs lane j's
+            // per-round immutable state (residency, degrees, dry
+            // marks), so executing lane i never perturbs lane j's
             // resolution and per-walker step order is untouched.
             std::size_t ahead = 0;
             while (ahead < width && ahead < kLookahead) {

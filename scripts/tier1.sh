@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full build + test suite, a ThreadSanitizer
 # pass over the concurrent suites (the `tsan` test preset in
-# CMakePresets.json holds the list), and a smoke run of the storage and
-# shard benches.
+# CMakePresets.json holds the list), a smoke run of the storage and
+# shard benches, and the repository benchmark's self-test plus a short
+# output-checked run (scripts/walkbench_smoke.sh).
 #
 # Usage: scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -24,6 +25,10 @@ echo
 echo "== tier 1: bench smoke (micro_storage ablations + shard scaling) =="
 ./build/bench/micro_storage --benchmark_filter=BM_SsdModelRequest --benchmark_min_time=0.01 >/dev/null
 ./build/bench/shard_scaling >/dev/null
+
+echo
+echo "== tier 1: walkbench self-test + oc-node2vec-2shard smoke =="
+scripts/walkbench_smoke.sh
 
 echo
 echo "tier 1 passed"

@@ -9,6 +9,12 @@
  * x and a trial height h ∈ [0, max(1/p, 1, 1/q)); Rejection accepts x
  * when h falls under x's dynamic weight, which requires only x's
  * adjacency (u ∈ N(x) on an undirected graph ⟺ x ∈ N(u)).
+ *
+ * Most trials never search that adjacency.  Once u is valid and x ≠ u,
+ * x's weight is 1 or 1/q, so a height h ≤ min(1, 1/q) accepts and
+ * h > max(1, 1/q) rejects whichever it is; only heights in between
+ * binary-search N(x) for u.  This is KnightKing-style pre-acceptance:
+ * the decision is exactly the weight rule's, only cheaper.
  */
 #pragma once
 
@@ -41,6 +47,8 @@ class Node2Vec {
           num_vertices_(num_vertices), walks_per_vertex_(walks_per_vertex)
     {
         h_max_ = std::max({inv_p_, 1.0, inv_q_});
+        settle_lo_ = std::min(1.0, inv_q_);
+        settle_hi_ = std::max(1.0, inv_q_);
     }
 
     std::uint64_t
@@ -72,10 +80,11 @@ class Node2Vec {
 
     /**
      * Step-kernel gather hint (DESIGN.md §12).  With a trial pending,
-     * @p view is the candidate's adjacency and rejection() binary
-     * searches it for w.prev — warm the probe points (ends + middle);
-     * otherwise the next touch is a uniform candidate draw from the
-     * head of the list.
+     * @p view is the candidate's adjacency: when the height leaves the
+     * trial undecided, rejection() binary searches it for w.prev — warm
+     * the search's first two probe levels; otherwise it reads nothing.
+     * Without a trial the next touch is a uniform candidate draw from
+     * the head of the list.
      */
     unsigned
     gather(const WalkerT &w, const graph::VertexView &view) const
@@ -84,11 +93,17 @@ class Node2Vec {
         if (n == 0) {
             return 0;
         }
-        if (w.candidate != graph::kInvalidVertex && view.id == w.candidate &&
-            w.prev != graph::kInvalidVertex) {
-            util::prefetch_line(&view.targets[0]);
-            util::prefetch_line(&view.targets[n / 2]);
-            util::prefetch_line(&view.targets[n - 1]);
+        if (w.candidate != graph::kInvalidVertex && view.id == w.candidate) {
+            if (settle(w) != Trial::kSearch) {
+                return 0;
+            }
+            // lower_bound probes the middle, then the middle of the
+            // half it keeps.
+            const std::size_t half = n / 2;
+            const std::size_t upper = half + 1 + (n - half - 1) / 2;
+            util::prefetch_line(&view.targets[half]);
+            util::prefetch_line(&view.targets[half / 2]);
+            util::prefetch_line(&view.targets[std::min(upper, n - 1)]);
             return 3;
         }
         return util::prefetch_range(view.targets.data(),
@@ -129,17 +144,13 @@ class Node2Vec {
     rejection(WalkerT &w, const graph::VertexView &candidate_view,
               util::Rng &)
     {
-        double weight;
-        if (w.prev == graph::kInvalidVertex) {
-            weight = h_max_; // first step is uniform: always accept
-        } else if (w.candidate == w.prev) {
-            weight = inv_p_; // d = 0
-        } else if (candidate_view.has_target(w.prev)) {
-            weight = 1.0; // d = 1 (undirected: prev ∈ N(candidate))
-        } else {
-            weight = inv_q_; // d = 2
+        const Trial trial = settle(w);
+        bool accept = trial == Trial::kAccept;
+        if (trial == Trial::kSearch) {
+            // d = 1 (undirected: prev ∈ N(candidate)), else d = 2.
+            accept = w.h <= (candidate_view.has_target(w.prev) ? 1.0
+                                                               : inv_q_);
         }
-        const bool accept = w.h <= weight;
         if (accept) {
             w.prev = w.location;
             w.location = w.candidate;
@@ -152,9 +163,35 @@ class Node2Vec {
     double h_max() const { return h_max_; }
 
   private:
+    /** What a pending trial's height decides before any search. */
+    enum class Trial : std::uint8_t { kAccept, kReject, kSearch };
+
+    Trial
+    settle(const WalkerT &w) const
+    {
+        if (w.prev == graph::kInvalidVertex) {
+            // First step is uniform: weight h_max, always accept.
+            return w.h <= h_max_ ? Trial::kAccept : Trial::kReject;
+        }
+        if (w.candidate == w.prev) {
+            return w.h <= inv_p_ ? Trial::kAccept : Trial::kReject; // d = 0
+        }
+        // The weight is 1 or 1/q: a height under both or over both
+        // decides the trial whichever it is.
+        if (w.h <= settle_lo_) {
+            return Trial::kAccept;
+        }
+        if (w.h > settle_hi_) {
+            return Trial::kReject;
+        }
+        return Trial::kSearch;
+    }
+
     double inv_p_;
     double inv_q_;
     double h_max_;
+    double settle_lo_; ///< min(1, 1/q): heights at or under accept
+    double settle_hi_; ///< max(1, 1/q): heights over it reject
     std::uint32_t length_;
     graph::VertexId num_vertices_;
     std::uint32_t walks_per_vertex_;

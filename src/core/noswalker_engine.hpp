@@ -15,10 +15,12 @@
  * util::ThreadPool.  Every walker carries a private SplitMix64 stream
  * derived from (run seed, walker id), so trajectories are a pure
  * function of the seed — walk output is bit-identical at 1, 2, or N
- * step threads.  Workers accumulate into thread-local StepDelta
- * records (stats deltas + park buffers) that the scheduler thread
- * merges in worker-index order after the shard barrier, keeping
- * BlockScheduler and WalkerPool single-writer.
+ * step threads.  Workers bank each walker's outcome in place — the
+ * record in its input slot, its fate in a parallel dest array — and
+ * count into thread-local StepDelta records; after the shard barrier
+ * the scheduler thread folds the deltas and parks the banked records
+ * in one index-order pass, keeping BlockScheduler and WalkerPool
+ * single-writer.
  *
  * The Fig 14 breakdown knobs degrade the engine towards the paper's
  * "base implementation": walker_management=false materializes all
@@ -297,10 +299,9 @@ class NosWalkerEngine {
     friend class StepKernel;
 
     /**
-     * One step worker's private accumulator: stats deltas plus walkers
-     * to park.  Merged into the engine's single-writer structures by
-     * apply_delta() on the scheduler thread, in worker-index order, so
-     * the merge is deterministic.
+     * One step worker's private counters, folded into the engine by
+     * apply_delta() on the scheduler thread after the shard barrier.
+     * The walkers themselves are banked in place (step_records).
      */
     struct StepDelta {
         std::uint64_t steps = 0;
@@ -313,9 +314,8 @@ class NosWalkerEngine {
         std::uint64_t kernel_cohorts = 0;
         std::uint64_t kernel_prefetches = 0;
         std::uint64_t kernel_scalar_fallbacks = 0;
-        std::vector<std::pair<std::uint32_t, Record>> parked;
         /** Shard mode: walkers whose waiting block another shard owns. */
-        std::vector<Record> emigrants;
+        std::uint64_t emigrants = 0;
     };
 
     /**
@@ -797,6 +797,10 @@ class NosWalkerEngine {
         if (records.empty()) {
             return;
         }
+        if (dest_.size() < records.size()) {
+            // Grow only: the kernel writes every slot of the batch.
+            dest_.resize(records.size());
+        }
         const std::size_t shards = shard_count(records.size());
         if (shards <= 1) {
             StepDelta delta;
@@ -812,12 +816,14 @@ class NosWalkerEngine {
                     std::min(records.size(), begin + per);
                 step_span(app, records, begin, end, resp, deltas[s]);
             });
-            // Shard barrier passed: merge in worker-index order so the
-            // single-writer structures see a deterministic sequence.
-            for (StepDelta &delta : deltas) {
+            for (const StepDelta &delta : deltas) {
                 apply_delta(delta);
             }
         }
+        // Shard barrier passed.  Spans are contiguous slices of
+        // records, so index order is worker order, then walker order:
+        // the single-writer structures see a deterministic sequence.
+        park_banked(records);
         records.clear();
         // Dried reservoirs become visible to the *next* round only:
         // the drying point is then a function of deterministic
@@ -846,13 +852,13 @@ class NosWalkerEngine {
             ++delta.kernel_scalar_fallbacks;
         }
         StepKernel<NosWalkerEngine>::run(
-            *this, app, records, begin, end,
+            *this, app, records, dest_, begin, end,
             resp != nullptr ? &resp->buffer : nullptr, delta);
     }
 
-    /** Fold one worker's delta into the engine (scheduler thread). */
+    /** Fold one worker's counters into the engine (scheduler thread). */
     void
-    apply_delta(StepDelta &delta)
+    apply_delta(const StepDelta &delta)
     {
         stats_.steps += delta.steps;
         stats_.block_steps += delta.block_steps;
@@ -865,53 +871,53 @@ class NosWalkerEngine {
         stats_.kernel_scalar_fallbacks += delta.kernel_scalar_fallbacks;
         stats_.walkers += delta.retired;
         // Emigrants free their pool slot without retiring: their walk
-        // continues on the owning shard next round.  Worker-index merge
-        // order keeps the outbox sequence deterministic.
-        pool_->retire_n(delta.retired + delta.emigrants.size());
-        for (Record &rec : delta.emigrants) {
-            emigrants_out_->push_back(std::move(rec));
-        }
+        // continues on the owning shard next round.
+        pool_->retire_n(delta.retired + delta.emigrants);
         if (planner_ != nullptr) {
-            // Single-writer merge point: every parked walker is one
-            // observed (processed block → waiting block) transition.
-            // Fresh injections (flow_src_ == kNoBlock) are ignored —
-            // they are arrivals, not flow.
+            // Walkers that leave without parking dilute the planner's
+            // transition estimate (§13).  Fresh injections (flow_src_
+            // == kNoBlock) are ignored — they are arrivals, not flow.
             planner_->record_exits(flow_src_,
-                                   delta.retired +
-                                       delta.emigrants.size());
-            record_parked_flow(delta.parked);
-        }
-        for (auto &[block, rec] : delta.parked) {
-            pool_->park(block, rec);
-            scheduler_->add_walker(block);
-            if (spill_) {
-                spill_->park(block, 1);
-            }
+                                   delta.retired + delta.emigrants);
         }
     }
 
     /**
-     * Feed the planner one record_flow per distinct destination of
-     * @p parked, in first-observation order: the flow table one call
-     * per walker would build, at one table scan per destination.
+     * Act on every banked fate in index order (scheduler thread): park
+     * at the destination block, or append to the shard outbox.  Every
+     * parked walker is one observed (processed block → waiting block)
+     * transition; the planner gets one record_flow per distinct
+     * destination, in first-observation order — the flow table one
+     * call per walker would build, at one table scan per destination.
      */
     void
-    record_parked_flow(
-        const std::vector<std::pair<std::uint32_t, Record>> &parked)
+    park_banked(std::vector<Record> &records)
     {
-        if (flow_src_ == BlockScheduler::kNoBlock) {
-            return; // fresh injections are arrivals, not flow
-        }
-        flow_order_.clear();
-        for (const auto &[block, rec] : parked) {
-            if (flow_count_[block]++ == 0) {
+        const bool flow =
+            planner_ != nullptr && flow_src_ != BlockScheduler::kNoBlock;
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const std::uint32_t block = dest_[i];
+            if (block == kDestRetired) {
+                continue;
+            }
+            if (block == kDestEmigrant) {
+                emigrants_out_->push_back(std::move(records[i]));
+                continue;
+            }
+            if (flow && flow_count_[block]++ == 0) {
                 flow_order_.push_back(block);
+            }
+            pool_->park(block, records[i]);
+            scheduler_->add_walker(block);
+            if (spill_) {
+                spill_->park(block, 1);
             }
         }
         for (const std::uint32_t dst : flow_order_) {
             planner_->record_flow(flow_src_, dst, flow_count_[dst]);
             flow_count_[dst] = 0;
         }
+        flow_order_.clear();
     }
 
     void
@@ -1037,10 +1043,13 @@ class NosWalkerEngine {
     /** Block whose bucket the walkers being merged were stepped from
      *  (kNoBlock during fresh-injection admission). */
     std::uint32_t flow_src_ = BlockScheduler::kNoBlock;
-    /** record_parked_flow scratch: walkers per destination block (all
-     *  zero between calls) and destinations in first-seen order. */
+    /** park_banked scratch: walkers per destination block (all zero
+     *  between calls) and destinations in first-seen order. */
     std::vector<std::uint64_t> flow_count_;
     std::vector<std::uint32_t> flow_order_;
+    /** Per-slot fate the step kernel banks for step_records' batch: a
+     *  destination block, kDestRetired or kDestEmigrant. */
+    std::vector<std::uint32_t> dest_;
     /** Tenant fairness weight applied to the next run's plans (§13). */
     double plan_weight_ = 1.0;
     /** Pre-sample buffers; null when pre-sampling is off.  Its cap

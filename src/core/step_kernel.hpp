@@ -37,15 +37,19 @@
  * each walker's own event sequence (decision + RNG draws) runs in its
  * own order; the only cross-walker state touched mid-round is
  * commutative atomics never read back before the round barrier
- * (DESIGN.md §9); and retired / parked / emigrant outcomes are banked
- * per input slot, then folded into the StepDelta in walker-index order,
- * so the engine's deterministic worker-order merge sees one sequence.
+ * (DESIGN.md §9); and every walker's outcome is banked in place — its
+ * terminal record back into its input slot, its fate (destination
+ * block, kDestRetired or kDestEmigrant) into the engine's dest array —
+ * so the engine's single index-order pass after the barrier sees the
+ * same sequence however the spans were cut.
  */
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "core/presample_buffer.hpp"
@@ -56,6 +60,12 @@
 #include "util/rng.hpp"
 
 namespace noswalker::core {
+
+/** A banked fate in the engine's dest array when the walker parks
+ *  nowhere: it retired, or another shard owns its waiting block.  Block
+ *  ids stay far below both. */
+inline constexpr std::uint32_t kDestRetired = ~std::uint32_t{0};
+inline constexpr std::uint32_t kDestEmigrant = kDestRetired - 1;
 
 /**
  * The step loop over one worker shard's records.
@@ -76,23 +86,31 @@ class StepKernel {
 
     /**
      * Step records[begin, end) to their park/retire points, accumulating
-     * into @p delta.  Consumes the records.  Runs on step workers: reads
-     * engine state, writes only @p delta, the walkers themselves, and
-     * pre-sample atomics.
+     * counters into @p delta.  Each walker's terminal record goes back
+     * into its own slot of @p records and its fate into the same slot of
+     * @p dest: a destination block id, kDestRetired or kDestEmigrant
+     * (the record of a retired walker is left unspecified).  Runs on
+     * step workers: writes only its own slots, @p delta, the walkers
+     * themselves and pre-sample atomics.  Allocates nothing.
      */
     static void
-    run(E &eng, App &app, std::vector<Record> &records, std::size_t begin,
+    run(E &eng, App &app, std::vector<Record> &records,
+        std::vector<std::uint32_t> &dest, std::size_t begin,
         std::size_t end, const storage::BlockBuffer *buf, Delta &delta)
     {
-        const std::size_t n = end - begin;
-        const std::size_t width = std::min(n, kLanes);
-        std::vector<Outcome> outcomes(n);
-        std::vector<Lane> lanes(width);
+        const std::size_t width = std::min(end - begin, kLanes);
+        // Raw lane storage: only the lanes the span uses are built.
+        static_assert(std::is_trivially_destructible_v<Lane>);
+        alignas(Lane) std::byte storage[kLanes * sizeof(Lane)];
+        for (std::size_t i = 0; i < width; ++i) {
+            ::new (static_cast<void *>(storage + i * sizeof(Lane))) Lane;
+        }
+        Lane *const lanes = std::launder(reinterpret_cast<Lane *>(storage));
 
         std::size_t next = begin;
         std::size_t live = 0;
-        for (Lane &lane : lanes) {
-            admit(eng, app, lane, records, next, begin, delta);
+        for (std::size_t i = 0; i < width; ++i) {
+            admit(eng, app, lanes[i], records, next, delta);
             ++live;
         }
 
@@ -123,13 +141,12 @@ class StepKernel {
             for (std::size_t i = 0; i < width; ++i) {
                 Lane &lane = lanes[i];
                 if (lane.live &&
-                    !execute(eng, app, lane, delta, outcomes)) {
-                    // Lane finished: bank done, pull the next pending
+                    !execute(eng, app, lane, delta, records, dest)) {
+                    // Lane finished and banked: pull the next pending
                     // record into the freed lane (resolved next
                     // rotation).
                     if (next < end) {
-                        admit(eng, app, lane, records, next, begin,
-                              delta);
+                        admit(eng, app, lane, records, next, delta);
                     } else {
                         lane.live = false;
                         --live;
@@ -141,22 +158,6 @@ class StepKernel {
                     }
                     ++ahead;
                 }
-            }
-        }
-
-        // Fold the banked outcomes in walker-index order, so the
-        // downstream worker-order merge stays deterministic.
-        for (Outcome &o : outcomes) {
-            switch (o.tag) {
-            case Outcome::Tag::kNone:
-            case Outcome::Tag::kRetired:
-                break;
-            case Outcome::Tag::kParked:
-                delta.parked.emplace_back(o.block, std::move(o.rec));
-                break;
-            case Outcome::Tag::kEmigrant:
-                delta.emigrants.push_back(std::move(o.rec));
-                break;
             }
         }
     }
@@ -174,12 +175,14 @@ class StepKernel {
     };
 
     struct Lane {
-        std::size_t index = 0; ///< outcome slot (input position)
+        std::size_t slot = 0; ///< input position: where it banks
         Record rec{};
         Source source = Source::kUnresolved;
         graph::VertexView view{};
         PreSampleBuffer *ps = nullptr;
         graph::VertexId v = 0;
+        /** kStall: the waiting vertex's block, found during resolve. */
+        std::uint32_t block = 0;
         /**
          * The event's RNG, constructed at *resolve* time for sampling
          * sources.  Per-walker stream order is unchanged (resolve and
@@ -194,25 +197,12 @@ class StepKernel {
         bool live = false;
     };
 
-    /** Banked per-walker terminal outcome, folded in input order. */
-    struct Outcome {
-        enum class Tag : std::uint8_t {
-            kNone,
-            kRetired,
-            kParked,
-            kEmigrant,
-        };
-        Tag tag = Tag::kNone;
-        std::uint32_t block = 0;
-        Record rec{};
-    };
-
     /** Load records[next] into @p lane and warm its CSR offset entry. */
     static void
     admit(E &eng, const App &app, Lane &lane, std::vector<Record> &records,
-          std::size_t &next, std::size_t begin, Delta &delta)
+          std::size_t &next, Delta &delta)
     {
-        lane.index = next - begin;
+        lane.slot = next;
         lane.rec = std::move(records[next]);
         ++next;
         lane.live = true;
@@ -227,9 +217,7 @@ class StepKernel {
     block_has(const E &eng, const storage::BlockBuffer *buf,
               graph::VertexId v)
     {
-        return buf != nullptr && buf->info() != nullptr &&
-               buf->info()->contains(v) &&
-               buf->vertex_loaded(*eng.file_, v);
+        return buf != nullptr && buf->vertex_loaded(*eng.file_, v);
     }
 
     /**
@@ -256,8 +244,10 @@ class StepKernel {
      * Stage 1 for one lane: the step rule's decision, split from its
      * side effects.  Reads only per-round immutable state, so the
      * resolution is independent of the other lanes' stage-2 progress.
+     * Flattened, like execute(): at -O2 GCC otherwise leaves the
+     * per-step lookups (view decode, block_of, RNG seeding) as calls.
      */
-    static void
+    [[gnu::flatten]] static void
     resolve(E &eng, App &app, const storage::BlockBuffer *buf, Lane &lane,
             Delta &delta)
     {
@@ -276,9 +266,9 @@ class StepKernel {
                     gather(app, rec, lane.view, lane.rng, delta);
                     return;
                 }
+                const std::uint32_t b = eng.partition_->block_of(c);
                 if (eng.presample_enabled_) {
-                    PreSampleBuffer *ps = eng.find_presamples(
-                        eng.partition_->block_of(c));
+                    PreSampleBuffer *ps = eng.find_presamples(b);
                     if (ps != nullptr && ps->is_direct(c)) {
                         lane.source = Source::kCandidate;
                         lane.view = ps->direct_view(c);
@@ -289,6 +279,7 @@ class StepKernel {
                     }
                 }
                 lane.source = Source::kStall; // candidate park: no stall
+                lane.block = b;
                 return;
             }
         }
@@ -310,9 +301,10 @@ class StepKernel {
             gather(app, rec, lane.view, lane.rng, delta);
             return;
         }
+        // Found once: the pre-sample lookup and a stall share it.
+        const std::uint32_t b = eng.partition_->block_of(v);
         if (eng.presample_enabled_) {
-            PreSampleBuffer *ps =
-                eng.find_presamples(eng.partition_->block_of(v));
+            PreSampleBuffer *ps = eng.find_presamples(b);
             if (ps != nullptr) {
                 if (ps->is_direct(v)) {
                     lane.source = Source::kPsDirect;
@@ -344,7 +336,7 @@ class StepKernel {
         }
         lane.source = Source::kStall;
         lane.count_stall = true;
-        return;
+        lane.block = b;
     }
 
     static void
@@ -356,16 +348,19 @@ class StepKernel {
     }
 
     /**
-     * The walker just advanced: warm the CSR offset entry of wherever
-     * it landed, so the *next* rotation's resolve (degree check + view
-     * construction) doesn't take the miss.  admit() covers only a
-     * lane's first rotation; this covers every subsequent one.
+     * The walker just moved or drew a candidate: warm the CSR offset
+     * entry of the vertex it now waits on — its new location, or a
+     * second-order walker's pending candidate — so the *next*
+     * rotation's resolve (degree check + view construction) doesn't
+     * take the miss.  admit() covers only a lane's first rotation; this
+     * covers every subsequent one.
      */
     static void
-    warm_next(E &eng, const Record &rec, Delta &delta)
+    warm_next(E &eng, const App &app, const Record &rec, Delta &delta)
     {
         delta.kernel_prefetches += util::prefetch_range(
-            eng.file_->offsets().data() + rec.w.location,
+            eng.file_->offsets().data() +
+                engine::waiting_vertex(app, rec.w),
             2 * sizeof(graph::EdgeIndex), 2);
     }
 
@@ -373,29 +368,33 @@ class StepKernel {
      * Stage 2 for one lane: the side effects of the resolved event.
      * @return true when the walker stays in the lane (moved a step).
      */
-    static bool
+    [[gnu::flatten]] static bool
     execute(E &eng, App &app, Lane &lane, Delta &delta,
-            std::vector<Outcome> &outcomes)
+            std::vector<Record> &records, std::vector<std::uint32_t> &dest)
     {
         Record &rec = lane.rec;
         switch (lane.source) {
         case Source::kRetire:
             ++delta.retired;
-            outcomes[lane.index].tag = Outcome::Tag::kRetired;
+            dest[lane.slot] = kDestRetired;
             return false;
         case Source::kCandidate:
             if constexpr (E::kSecondOrder) {
                 ++delta.rejection_trials;
                 util::Rng &rng = lane.rng;
-                if (app.rejection(rec.w, lane.view, rng)) {
+                const bool accepted = app.rejection(rec.w, lane.view, rng);
+                if (accepted) {
                     ++delta.steps;
                 } else {
                     ++delta.rejection_rejected;
                 }
                 if (!app.active(rec.w)) {
                     ++delta.retired;
-                    outcomes[lane.index].tag = Outcome::Tag::kRetired;
+                    dest[lane.slot] = kDestRetired;
                     return false;
+                }
+                if (accepted) {
+                    warm_next(eng, app, rec, delta);
                 }
             }
             return true;
@@ -408,7 +407,7 @@ class StepKernel {
             app.action(rec.w, next, rng);
             ++delta.block_steps;
             count_step(delta);
-            warm_next(eng, rec, delta);
+            warm_next(eng, app, rec, delta);
             return true;
         }
         case Source::kPsDirect: {
@@ -417,7 +416,7 @@ class StepKernel {
             app.action(rec.w, next, rng);
             ++delta.presample_steps;
             count_step(delta);
-            warm_next(eng, rec, delta);
+            warm_next(eng, app, rec, delta);
             return true;
         }
         case Source::kPsSample: {
@@ -428,26 +427,23 @@ class StepKernel {
             }
             ++delta.presample_steps;
             count_step(delta);
-            warm_next(eng, rec, delta);
+            warm_next(eng, app, rec, delta);
             return true;
         }
         case Source::kStall: {
             if (lane.ps_visit) {
                 lane.ps->record_visit(lane.v);
             }
-            const std::uint32_t b =
-                eng.partition_->block_of(engine::waiting_vertex(app, rec.w));
-            Outcome &o = outcomes[lane.index];
-            if (!eng.owns_block(b)) {
-                o.tag = Outcome::Tag::kEmigrant;
+            if (!eng.owns_block(lane.block)) {
+                ++delta.emigrants;
+                dest[lane.slot] = kDestEmigrant;
             } else {
-                o.tag = Outcome::Tag::kParked;
-                o.block = b;
+                dest[lane.slot] = lane.block;
                 if (lane.count_stall) {
                     ++delta.stalls;
                 }
             }
-            o.rec = std::move(rec);
+            records[lane.slot] = std::move(rec);
             return false;
         }
         case Source::kUnresolved:

@@ -1,6 +1,5 @@
 #include "graph/graph_file.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -59,12 +58,6 @@ VertexView::sample_weighted(util::Rng &rng) const
         }
     }
     return targets[n - 1];
-}
-
-bool
-VertexView::has_target(VertexId v) const
-{
-    return std::binary_search(targets.begin(), targets.end(), v);
 }
 
 void
@@ -169,33 +162,6 @@ GraphFile::GraphFile(storage::IoDevice &device) : device_(&device)
     if (device.size() < file_bytes()) {
         throw util::IoError("GraphFile: truncated edge region");
     }
-}
-
-VertexView
-GraphFile::decode(VertexId v, std::span<const std::uint8_t> raw,
-                  std::uint64_t raw_begin) const
-{
-    const std::uint64_t off = vertex_byte_offset(v);
-    const std::uint64_t len = vertex_byte_size(v);
-    NOSWALKER_CHECK(off >= raw_begin &&
-                    off + len <= raw_begin + raw.size());
-    const std::uint8_t *base = raw.data() + (off - raw_begin);
-    const std::uint32_t deg = degree(v);
-
-    VertexView view;
-    view.id = v;
-    view.targets = {reinterpret_cast<const VertexId *>(base), deg};
-    std::uint64_t pos = static_cast<std::uint64_t>(deg) * sizeof(VertexId);
-    if (weighted()) {
-        view.weights = {reinterpret_cast<const Weight *>(base + pos), deg};
-        pos += static_cast<std::uint64_t>(deg) * sizeof(Weight);
-    }
-    if (has_alias()) {
-        view.prob = {reinterpret_cast<const float *>(base + pos), deg};
-        pos += static_cast<std::uint64_t>(deg) * sizeof(float);
-        view.alias = {reinterpret_cast<const VertexId *>(base + pos), deg};
-    }
-    return view;
 }
 
 } // namespace noswalker::graph

@@ -19,6 +19,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "graph/types.hpp"
 #include "storage/io_device.hpp"
 #include "util/alias_table.hpp"
+#include "util/error.hpp"
 #include "util/prefetch.hpp"
 #include "util/rng.hpp"
 
@@ -67,7 +69,11 @@ struct VertexView {
     VertexId sample_weighted(util::Rng &rng) const;
 
     /** Whether @p v is an out-neighbour (binary search; lists sorted). */
-    bool has_target(VertexId v) const;
+    bool
+    has_target(VertexId v) const
+    {
+        return std::binary_search(targets.begin(), targets.end(), v);
+    }
 
     /**
      * Hint the leading cache lines of every populated span (targets,
@@ -226,8 +232,35 @@ class GraphFile {
      * region beginning at absolute file offset @p raw_begin.
      * @pre the record lies fully inside @p raw.
      */
-    VertexView decode(VertexId v, std::span<const std::uint8_t> raw,
-                      std::uint64_t raw_begin) const;
+    VertexView
+    decode(VertexId v, std::span<const std::uint8_t> raw,
+           std::uint64_t raw_begin) const
+    {
+        const std::uint64_t off = vertex_byte_offset(v);
+        const std::uint64_t len = vertex_byte_size(v);
+        NOSWALKER_CHECK(off >= raw_begin &&
+                        off + len <= raw_begin + raw.size());
+        const std::uint8_t *base = raw.data() + (off - raw_begin);
+        const std::uint32_t deg = degree(v);
+
+        VertexView view;
+        view.id = v;
+        view.targets = {reinterpret_cast<const VertexId *>(base), deg};
+        std::uint64_t pos =
+            static_cast<std::uint64_t>(deg) * sizeof(VertexId);
+        if (weighted()) {
+            view.weights = {reinterpret_cast<const Weight *>(base + pos),
+                            deg};
+            pos += static_cast<std::uint64_t>(deg) * sizeof(Weight);
+        }
+        if (has_alias()) {
+            view.prob = {reinterpret_cast<const float *>(base + pos), deg};
+            pos += static_cast<std::uint64_t>(deg) * sizeof(float);
+            view.alias = {reinterpret_cast<const VertexId *>(base + pos),
+                          deg};
+        }
+        return view;
+    }
 
   private:
     storage::IoDevice *device_;

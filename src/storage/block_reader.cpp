@@ -23,15 +23,9 @@ align_up(std::uint64_t x, std::uint64_t a)
 } // namespace
 
 bool
-BlockBuffer::vertex_loaded(const graph::GraphFile &file,
-                           graph::VertexId v) const
+BlockBuffer::pages_loaded(const graph::GraphFile &file,
+                          graph::VertexId v) const
 {
-    if (info_ == nullptr || !info_->contains(v)) {
-        return false;
-    }
-    if (complete_) {
-        return true;
-    }
     const std::uint64_t begin = file.vertex_byte_offset(v);
     const std::uint64_t len = file.vertex_byte_size(v);
     if (len == 0) {
@@ -53,7 +47,7 @@ void
 BlockBuffer::clear()
 {
     info_ = nullptr;
-    data_.clear(); // capacity (and its reservation) is retained
+    size_ = 0; // capacity (and its reservation) is retained
     valid_pages_.resize(0);
     complete_ = false;
 }
@@ -62,7 +56,8 @@ void
 BlockBuffer::release_storage()
 {
     clear();
-    std::vector<std::uint8_t>().swap(data_);
+    data_.reset();
+    capacity_ = 0;
     reservation_.release();
 }
 
@@ -87,12 +82,14 @@ BlockBuffer::resize_for(const graph::BlockInfo &block,
             reservation_.resize(bytes);
         }
     }
-    if (bytes > data_.capacity()) {
+    if (bytes > capacity_) {
         ++allocations_;
+        data_ = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
+        capacity_ = bytes;
     }
     // Stale bytes past the new block's device span are never decoded
     // (every vertex record ends before the device end), so no zeroing.
-    data_.resize(bytes);
+    size_ = bytes;
     info_ = &block;
     aligned_begin_ = aligned_begin;
     valid_pages_.resize(bytes / BlockReader::kPageBytes);
@@ -165,9 +162,9 @@ BlockReader::load_coarse(const graph::BlockInfo &block, BlockBuffer &out)
             // A hit replaces the modeled device read with a memcpy;
             // sizes match because both sides cover the same aligned
             // span of the same block.
-            NOSWALKER_CHECK(entry->bytes.size() <= out.data_.size());
+            NOSWALKER_CHECK(entry->bytes.size() <= out.size_);
             std::copy(entry->bytes.begin(), entry->bytes.end(),
-                      out.data_.begin());
+                      out.data_.get());
             out.complete_ = true;
             result.from_cache = true;
             return result;
@@ -177,12 +174,12 @@ BlockReader::load_coarse(const graph::BlockInfo &block, BlockBuffer &out)
     const std::uint64_t device_end = file_->device().size();
     std::uint64_t pos = out.aligned_begin_;
     const std::uint64_t end =
-        std::min<std::uint64_t>(out.aligned_begin_ + out.data_.size(),
+        std::min<std::uint64_t>(out.aligned_begin_ + out.size_,
                                 device_end);
     while (pos < end) {
         const std::uint64_t len = std::min(max_request_, end - pos);
         file_->device().read(pos, len,
-                             out.data_.data() + (pos - out.aligned_begin_));
+                             out.data_.get() + (pos - out.aligned_begin_));
         result.bytes_read += len;
         ++result.requests;
         result.modeled_seconds +=
@@ -191,9 +188,9 @@ BlockReader::load_coarse(const graph::BlockInfo &block, BlockBuffer &out)
     }
     out.complete_ = true;
     if (cache_ != nullptr) {
+        const std::span<const std::uint8_t> image = out.bytes();
         cache_->insert(block.id, out.aligned_begin_,
-                       std::vector<std::uint8_t>(out.data_.begin(),
-                                                 out.data_.end()));
+                       std::vector<std::uint8_t>(image.begin(), image.end()));
     }
     return result;
 }
@@ -212,9 +209,9 @@ BlockReader::load_fine(const graph::BlockInfo &block,
         if (const auto entry = cache_->find(block.id)) {
             // The cache holds the whole coarse image; serve the marked
             // pages from it with a memcpy instead of device I/O.
-            NOSWALKER_CHECK(entry->bytes.size() <= out.data_.size());
+            NOSWALKER_CHECK(entry->bytes.size() <= out.size_);
             std::copy(entry->bytes.begin(), entry->bytes.end(),
-                      out.data_.begin());
+                      out.data_.get());
             result.from_cache = true;
             return result;
         }
@@ -240,7 +237,7 @@ BlockReader::load_fine(const graph::BlockInfo &block,
         if (off < device_end) {
             len = std::min(len, device_end - off);
             file_->device().read(off, len,
-                                 out.data_.data() + p * kPageBytes);
+                                 out.data_.get() + p * kPageBytes);
             result.bytes_read += len;
             ++result.requests;
             result.modeled_seconds +=

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,24 +41,33 @@ class BlockBuffer {
     bool complete() const { return complete_; }
 
     /** Whether vertex @p v's record is fully resident. */
-    bool vertex_loaded(const graph::GraphFile &file,
-                       graph::VertexId v) const;
+    bool
+    vertex_loaded(const graph::GraphFile &file, graph::VertexId v) const
+    {
+        if (info_ == nullptr || !info_->contains(v)) {
+            return false;
+        }
+        return complete_ || pages_loaded(file, v);
+    }
 
     /** Decode vertex @p v. @pre vertex_loaded(file, v). */
     graph::VertexView
     view(const graph::GraphFile &file, graph::VertexId v) const
     {
-        return file.decode(v, data_, aligned_begin_);
+        return file.decode(v, bytes(), aligned_begin_);
     }
 
     /** Bytes currently held by the buffer. */
-    std::uint64_t capacity_bytes() const { return data_.size(); }
+    std::uint64_t capacity_bytes() const { return size_; }
 
     /** Device offset of the buffer's first byte. */
     std::uint64_t aligned_begin() const { return aligned_begin_; }
 
     /** Read-only view of the held bytes. */
-    std::span<const std::uint8_t> bytes() const { return data_; }
+    std::span<const std::uint8_t> bytes() const
+    {
+        return {data_.get(), size_};
+    }
 
     /**
      * Detach from the block but retain the storage (and its budget
@@ -83,9 +93,17 @@ class BlockBuffer {
   private:
     friend class BlockReader;
 
+    /** Fine mode: whether every page of @p v's record is marked. */
+    bool pages_loaded(const graph::GraphFile &file,
+                      graph::VertexId v) const;
+
     const graph::BlockInfo *info_ = nullptr;
     std::uint64_t aligned_begin_ = 0;
-    std::vector<std::uint8_t> data_;
+    /** Storage of capacity_ bytes, never zeroed: only bytes a load
+     *  wrote are ever decoded (fine mode checks valid_pages_). */
+    std::unique_ptr<std::uint8_t[]> data_;
+    std::uint64_t size_ = 0;
+    std::uint64_t capacity_ = 0;
     util::Bitmap valid_pages_; ///< fine mode: which pages are resident
     bool complete_ = false;
     util::Reservation reservation_;

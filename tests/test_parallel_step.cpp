@@ -179,5 +179,44 @@ TEST_F(ParallelStepTest, RerunWithSameSeedRepeats)
     EXPECT_EQ(a.endpoints, b.endpoints);
 }
 
+TEST_F(ParallelStepTest, EmigrantOutboxOrderIsIndependentOfThreads)
+{
+    // Bucket order never shows in walk output, but the shard outbox
+    // order does: run one shard-mode round over the lower half of the
+    // blocks and compare the emigrants element by element.
+    constexpr std::uint64_t kWalkers = 600;
+    constexpr std::uint64_t kSeed = 77;
+    const std::uint32_t end_block = partition_->num_blocks() / 2;
+    ASSERT_GT(end_block, 0u);
+    using Record = core::NosWalkerEngine<ConcurrentRecordingWalk>::Record;
+    std::vector<std::vector<Record>> outboxes;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        ConcurrentRecordingWalk app(12, file_->num_vertices(), kWalkers);
+        std::vector<Record> records;
+        for (std::uint64_t id = 0; id < kWalkers; ++id) {
+            records.push_back(engine::seed_record(app, id, kSeed));
+        }
+        core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, config(threads, /*presample=*/true));
+        std::vector<Record> emigrants;
+        eng.run_records(app, std::move(records), kSeed, 0, end_block,
+                        &emigrants);
+        outboxes.push_back(std::move(emigrants));
+    }
+    ASSERT_GT(outboxes[0].size(), 1u);
+    for (std::size_t t = 1; t < outboxes.size(); ++t) {
+        ASSERT_EQ(outboxes[t].size(), outboxes[0].size())
+            << "thread config " << t;
+        for (std::size_t i = 0; i < outboxes[0].size(); ++i) {
+            const Record &a = outboxes[0][i];
+            const Record &b = outboxes[t][i];
+            EXPECT_EQ(b.w.id, a.w.id) << "thread config " << t << " @" << i;
+            EXPECT_EQ(b.w.location, a.w.location);
+            EXPECT_EQ(b.w.step, a.w.step);
+            EXPECT_EQ(b.rng_state, a.rng_state);
+        }
+    }
+}
+
 } // namespace
 } // namespace noswalker

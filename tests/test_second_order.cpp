@@ -6,9 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "apps/node2vec.hpp"
 #include "baselines/graphwalker.hpp"
@@ -274,6 +277,90 @@ TEST(SecondOrder, RejectionStatsAreTracked)
     EXPECT_GT(stats.rejection_trials, 0u);
     EXPECT_EQ(stats.rejection_trials,
               stats.steps + stats.rejection_rejected);
+}
+
+TEST(SecondOrder, HeightDecidedTrialsMatchTheWeightRule)
+{
+    // Candidate 7's adjacency holds prev 1 but not prev 3; the walker
+    // stands at 0.
+    constexpr graph::VertexId kAt = 0;
+    constexpr graph::VertexId kCand = 7;
+    const std::vector<graph::VertexId> adjacency{0, 1, 5};
+    graph::VertexView view;
+    view.id = kCand;
+    view.targets = adjacency;
+
+    const graph::VertexId kNone = graph::kInvalidVertex;
+    struct Case {
+        graph::VertexId prev;
+        graph::VertexId candidate;
+    };
+    const std::vector<Case> cases{
+        {kNone, kCand}, // prev invalid: first step, uniform
+        {kCand, kCand}, // candidate == prev: d = 0
+        {1, kCand},     // prev ∈ N(candidate): d = 1
+        {3, kCand},     // prev ∉ N(candidate): d = 2
+    };
+    const std::vector<std::pair<double, double>> params{
+        {2, 0.5}, {0.5, 2}, {1, 1}, {4, 4}, {0.25, 0.25}};
+
+    std::uint64_t decided = 0;
+    std::uint64_t searched = 0;
+    for (const auto &[p, q] : params) {
+        apps::Node2Vec app(p, q, 100, 16, 1);
+        const double h_max = app.h_max();
+        std::vector<float> heights;
+        for (const double x : {0.0, 1.0, 1.0 / p, 1.0 / q, h_max}) {
+            const auto f = static_cast<float>(x);
+            const float inf = std::numeric_limits<float>::infinity();
+            heights.insert(heights.end(), {std::nextafter(f, -inf), f,
+                                           std::nextafter(f, inf)});
+        }
+        for (const Case &c : cases) {
+            for (const float h : heights) {
+                // The weight rule, searching unconditionally.
+                double weight;
+                if (c.prev == kNone) {
+                    weight = h_max;
+                } else if (c.candidate == c.prev) {
+                    weight = 1.0 / p;
+                } else if (view.has_target(c.prev)) {
+                    weight = 1.0;
+                } else {
+                    weight = 1.0 / q;
+                }
+                const bool expected = h <= weight;
+                const bool settled =
+                    c.prev == kNone || c.candidate == c.prev ||
+                    h <= std::min(1.0, 1.0 / q) ||
+                    h > std::max(1.0, 1.0 / q);
+                (settled ? decided : searched) += 1;
+
+                engine::SecondOrderWalker w;
+                w.location = kAt;
+                w.step = 3;
+                w.prev = c.prev;
+                w.candidate = c.candidate;
+                w.h = h;
+                // Probes are warmed exactly when the trial will search.
+                EXPECT_EQ(app.gather(w, view), settled ? 0u : 3u)
+                    << "p=" << p << " q=" << q << " prev=" << c.prev
+                    << " h=" << h;
+                util::Rng rng(1);
+                const bool accepted = app.rejection(w, view, rng);
+                EXPECT_EQ(accepted, expected)
+                    << "p=" << p << " q=" << q << " prev=" << c.prev
+                    << " h=" << h;
+                EXPECT_EQ(w.candidate, kNone);
+                EXPECT_EQ(w.location, accepted ? kCand : kAt);
+                EXPECT_EQ(w.prev, accepted ? kAt : c.prev);
+                EXPECT_EQ(w.step, accepted ? 4u : 3u);
+            }
+        }
+    }
+    // Both kinds of trial are exercised.
+    EXPECT_GT(decided, 0u);
+    EXPECT_GT(searched, 0u);
 }
 
 } // namespace

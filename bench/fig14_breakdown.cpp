@@ -24,15 +24,11 @@
 
 #include "apps/basic_rw.hpp"
 #include "apps/graphlet.hpp"
-#include "apps/node2vec.hpp"
 #include "apps/ppr.hpp"
 #include "apps/rwd.hpp"
 #include "apps/simrank.hpp"
 #include "apps/weighted_rw.hpp"
 #include "bench_common.hpp"
-#include "storage/block_reader.hpp"
-#include "storage/shared_block_cache.hpp"
-#include "util/memory_budget.hpp"
 
 using namespace noswalker;
 
@@ -167,128 +163,6 @@ run_prefetch_ablation(bench::BenchEnv &env)
     }
 }
 
-/**
- * Lookahead plan-window ablation (DESIGN.md §13) on the out-of-core
- * budget: window 0 is the greedy hottest-first nomination, windows
- * 2/4/8 let the LoadPlanner rescore candidates with the one-step
- * walker-flow estimate and skip cache-resident candidates before
- * committing prefetches.  Each row runs against a fresh half-warm
- * SharedBlockCache (the service attaches one in production), which is
- * where greedy wastes speculative slots on blocks the cache would
- * serve for free.  Run for the first-order 1B10 workload and a
- * node2vec walk, whose two-block (current + candidate) access pattern
- * rewards flow-aware ordering.  The ratio uses the modeled I/O clock
- * (io_busy / io_efficiency + io_wait): at twin scale the measured
- * stepping CPU swamps the modeled device terms, exactly as the
- * breakdown bars above document.
- */
-template <typename App, typename MakeApp>
-void
-run_plan_window_case(bench::BenchEnv &env, const char *name,
-                     MakeApp &&make, std::uint64_t walkers,
-                     bool shrink_block = true)
-{
-    bench::GraphHandle &h = env.get(graph::DatasetId::kKron30);
-    double greedy_io = 0.0;
-    for (const unsigned window : {0u, 2u, 4u, 8u}) {
-        // Fresh, identically half-warm cache per row (each run
-        // publishes the blocks it loads, so reusing one cache would
-        // leak residency across rows).
-        util::MemoryBudget unbudgeted(0);
-        storage::SharedBlockCache cache(h.file->edge_region_bytes() / 2);
-        storage::BlockReader warm_reader(*h.file, unbudgeted,
-                                         8ULL << 20, &cache);
-        for (std::uint32_t id = 0; id < h.partition->num_blocks();
-             id += 2) {
-            storage::BlockBuffer buf;
-            warm_reader.load_coarse(h.partition->block(id), buf);
-            buf.release_storage();
-        }
-        auto app = make(h);
-        core::EngineConfig cfg = env.noswalker_config(h);
-        cfg.prefetch_depth = 4;
-        cfg.plan_window = window;
-        // The second-order case runs all-coarse (GraSorw's regime:
-        // the contested resource is full-block load order, and fine
-        // page reads sit below the planner's granularity).
-        cfg.shrink_block = shrink_block;
-        core::NosWalkerEngine<App> eng(*h.file, *h.partition, cfg);
-        eng.set_shared_cache(&cache);
-        const auto s = eng.run(app, walkers);
-        const double io_model =
-            s.io_busy_seconds / s.io_efficiency + s.io_wait_seconds;
-        if (window == 0) {
-            greedy_io = io_model;
-        }
-        const double ratio =
-            greedy_io > 0.0 ? io_model / greedy_io : 0.0;
-        bench::print_table_row(
-            {std::string(name) + " W=" + std::to_string(window),
-             bench::fmt_double(io_model, 6),
-             bench::fmt_double(s.io_wait_seconds, 6),
-             bench::fmt_count(s.planned_loads),
-             bench::fmt_count(s.plan_cache_credits),
-             bench::fmt_double(ratio, 3)});
-        if (reporter != nullptr) {
-            bench::JsonRecord record;
-            record.engine = s.engine;
-            record.dataset = h.spec.name;
-            record.workload = std::string(name) + "/plan_window_" +
-                              std::to_string(window);
-            record.steps = s.steps;
-            record.io_busy_seconds = s.io_busy_seconds;
-            record.cpu_seconds = s.cpu_seconds;
-            record.peak_memory = s.peak_memory;
-            record.extras = {
-                {"plan_window", static_cast<double>(window)},
-                {"modeled_io_seconds", io_model},
-                {"modeled_io_vs_greedy", ratio},
-                {"io_wait_seconds", s.io_wait_seconds},
-                {"planned_loads",
-                 static_cast<double>(s.planned_loads)},
-                {"plan_rescores",
-                 static_cast<double>(s.plan_rescores)},
-                {"plan_cache_credits",
-                 static_cast<double>(s.plan_cache_credits)},
-                {"cache_hit_blocks",
-                 static_cast<double>(s.cache_hit_blocks)},
-                {"prefetch_hits",
-                 static_cast<double>(s.prefetch_hits)},
-                {"prefetch_mispredicts",
-                 static_cast<double>(s.prefetch_mispredicts)},
-            };
-            reporter->add(std::move(record));
-        }
-    }
-}
-
-void
-run_plan_window_ablation(bench::BenchEnv &env)
-{
-    bench::GraphHandle &h = env.get(graph::DatasetId::kKron30);
-    const graph::VertexId v = h.file->num_vertices();
-    std::printf("\nPlan-window ablation on %s (out-of-core budget, "
-                "depth-4 pipeline, half-warm shared cache): identical "
-                "walk output per case\n",
-                h.spec.name.c_str());
-    bench::print_table_header(
-        "PlanWindow", {"case", "io_model_s", "io_wait(s)", "planned",
-                       "cache_credits", "io vs W=0"});
-    run_plan_window_case<apps::BasicRandomWalk>(
-        env, "1B10",
-        [](bench::GraphHandle &hh) {
-            return apps::BasicRandomWalk(10, hh.file->num_vertices());
-        },
-        v);
-    run_plan_window_case<apps::Node2Vec>(
-        env, "n2v",
-        [](bench::GraphHandle &hh) {
-            return apps::Node2Vec(2.0, 0.5, 10,
-                                  hh.file->num_vertices(), 1);
-        },
-        v, /*shrink_block=*/false);
-}
-
 } // namespace
 
 int
@@ -374,6 +248,5 @@ main(int argc, char **argv)
                 "normalized I/O 1/0.86/0.52/0.21.\n");
 
     run_prefetch_ablation(env);
-    run_plan_window_ablation(env);
     return 0;
 }

@@ -17,11 +17,8 @@
 #include <vector>
 
 #include "apps/basic_rw.hpp"
-#include "apps/node2vec.hpp"
 #include "bench_common.hpp"
 #include "core/noswalker_engine.hpp"
-#include "graph/builder.hpp"
-#include "core/prefetch_pipeline.hpp"
 #include "core/presample_buffer.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
@@ -30,7 +27,6 @@
 #include "storage/block_buffer_pool.hpp"
 #include "storage/block_reader.hpp"
 #include "storage/mem_device.hpp"
-#include "storage/shared_block_cache.hpp"
 #include "util/alias_table.hpp"
 #include "util/memory_budget.hpp"
 #include "util/rng.hpp"
@@ -308,333 +304,6 @@ run_prefetch_ablation(bench::JsonReporter &json)
     }
 }
 
-/**
- * Reorder-window ablation on a mixed coarse/fine pipeline workload:
- * per group, three slow coarse speculative loads are in flight when a
- * cache-warm block is demanded (zero device I/O) and one speculated
- * block is then claimed as a fine demand; the other two are
- * mispredicted.  Strict FIFO consumption (window 0) must wait out
- * every queued load before the warm demand; a reorder window serves
- * the completed demand past the slow heads, so its modeled io_wait is
- * strictly lower.
- */
-void
-run_reorder_ablation(bench::JsonReporter &json)
-{
-    MicroFixture &f = fixture();
-    // Coarser blocks than the micro partition: the slow heads should
-    // be transfer-bound, not queue-latency-bound.
-    graph::BlockPartition partition(*f.file,
-                                    f.file->edge_region_bytes() / 8);
-    const std::uint32_t blocks = partition.num_blocks();
-    const double queue_latency = f.file->device().model().queue_latency;
-    std::printf("\nReorder-window ablation: mixed coarse/fine groups, "
-                "depth 4, %u blocks\n", static_cast<unsigned>(blocks));
-    bench::print_table_header(
-        "Reorder", {"window", "io_wait(s)", "hits", "mispredicts",
-                    "io_wait vs fifo"});
-    double fifo_wait = 0.0;
-    for (const unsigned window : {0u, 2u, 4u}) {
-        util::MemoryBudget budget;
-        storage::SharedBlockCache cache(256ULL << 20);
-        storage::BlockReader reader(*f.file, budget, 8ULL << 20, &cache);
-        // Warm every fourth block: published to the cache on miss.
-        for (std::uint32_t id = 0; id + 3 < blocks; id += 4) {
-            storage::BlockBuffer warm;
-            reader.load_coarse(partition.block(id), warm);
-            warm.release_storage();
-        }
-        core::PrefetchPipeline::Stats total;
-        for (std::uint32_t base = 0; base + 3 < blocks; base += 4) {
-            storage::BlockBufferPool pool;
-            storage::AsyncLoader loader(reader, /*background=*/false,
-                                        /*depth=*/4, &pool);
-            core::PrefetchPipeline pipeline(loader, reader, pool,
-                                            /*depth=*/4, &cache,
-                                            queue_latency, window);
-            for (std::uint32_t off = 1; off <= 3; ++off) {
-                pipeline.speculate(partition.block(base + off));
-            }
-            storage::AsyncLoader::Request warm;
-            warm.block = &partition.block(base); // cache hit
-            auto served = pipeline.obtain(std::move(warm));
-            pipeline.recycle(std::move(served.buffer));
-            const graph::BlockInfo &claimed = partition.block(base + 1);
-            storage::AsyncLoader::Request fine;
-            fine.block = &claimed;
-            fine.fine = true;
-            for (graph::VertexId v = claimed.first_vertex;
-                 v < claimed.end_vertex; v += 7) {
-                fine.needed.push_back(v);
-            }
-            served = pipeline.obtain(std::move(fine));
-            pipeline.recycle(std::move(served.buffer));
-            pipeline.finish(); // base+2, base+3 are mispredicted
-            const core::PrefetchPipeline::Stats &s = pipeline.stats();
-            total.io_wait_seconds += s.io_wait_seconds;
-            total.prefetch_hits += s.prefetch_hits;
-            total.fine_loads += s.fine_loads;
-            total.prefetch_mispredicts += s.prefetch_mispredicts;
-        }
-        if (window == 0) {
-            fifo_wait = total.io_wait_seconds;
-        }
-        const double ratio = fifo_wait > 0.0
-                                 ? total.io_wait_seconds / fifo_wait
-                                 : 0.0;
-        bench::print_table_row(
-            {std::to_string(window),
-             bench::fmt_double(total.io_wait_seconds, 6),
-             bench::fmt_count(total.prefetch_hits),
-             bench::fmt_count(total.prefetch_mispredicts),
-             bench::fmt_double(ratio, 2)});
-        bench::JsonRecord record;
-        record.engine = "noswalker";
-        record.dataset = "rmat-micro";
-        record.workload =
-            "prefetch_reorder_window_" + std::to_string(window);
-        record.extras = {
-            {"reorder_window", static_cast<double>(window)},
-            {"io_wait_seconds", total.io_wait_seconds},
-            {"prefetch_hits", static_cast<double>(total.prefetch_hits)},
-            {"prefetch_mispredicts",
-             static_cast<double>(total.prefetch_mispredicts)},
-        };
-        json.add(std::move(record));
-    }
-}
-
-/**
- * Plan-window ablation (DESIGN.md §13): the same walk at plan_window
- * 0 (greedy top-K nomination) / 2 / 4 / 8, depth-4 pipeline, against a
- * half-warm shared cache so residency credits and the one-step flow
- * estimate both engage.  Walk output is bit-identical across rows —
- * the planner only picks *speculative* loads; the modeled I/O clock
- * (io_busy / io_efficiency + io_wait, the same I/O term the Fig.14
- * breakdown bars use) is what moves.  At micro scale the measured
- * stepping CPU swamps the modeled device, so cpu_s is reported but
- * kept out of the ratio.
- */
-void
-run_plan_window_ablation(bench::JsonReporter &json)
-{
-    MicroFixture &f = fixture();
-    const graph::VertexId n = f.file->num_vertices();
-    const std::uint32_t blocks = f.partition->num_blocks();
-    std::printf("\nPlan-window ablation: basic walk L=10, %u walkers, "
-                "%u blocks, half-warm shared cache\n",
-                static_cast<unsigned>(n), static_cast<unsigned>(blocks));
-    bench::print_table_header(
-        "PlanWindow",
-        {"window", "io_model_s", "io_wait(s)", "planned", "rescores",
-         "cache_credits", "cpu_s", "io vs greedy"});
-    double greedy_io = 0.0;
-    for (const unsigned window : {0u, 2u, 4u, 8u}) {
-        // Fresh, identically half-warm cache per row: each run
-        // publishes every block it loads, so a shared cache would leak
-        // one row's loads into the next row's residency.
-        util::MemoryBudget unbudgeted(0);
-        storage::SharedBlockCache cache(f.file->edge_region_bytes() / 2);
-        storage::BlockReader warm_reader(*f.file, unbudgeted, 8ULL << 20,
-                                         &cache);
-        for (std::uint32_t id = 0; id < blocks; id += 2) {
-            storage::BlockBuffer buf;
-            warm_reader.load_coarse(f.partition->block(id), buf);
-            buf.release_storage();
-        }
-        apps::BasicRandomWalk app(10, n);
-        core::EngineConfig cfg = core::EngineConfig::full(
-            0, f.partition->max_block_bytes());
-        cfg.prefetch_depth = 4;
-        cfg.plan_window = window;
-        core::NosWalkerEngine<apps::BasicRandomWalk> eng(
-            *f.file, *f.partition, cfg);
-        eng.set_shared_cache(&cache);
-        const auto s = eng.run(app, n);
-        const double io_model =
-            s.io_busy_seconds / s.io_efficiency + s.io_wait_seconds;
-        if (window == 0) {
-            greedy_io = io_model;
-        }
-        const double ratio =
-            greedy_io > 0.0 ? io_model / greedy_io : 0.0;
-        bench::print_table_row(
-            {std::to_string(window),
-             bench::fmt_double(io_model, 6),
-             bench::fmt_double(s.io_wait_seconds, 6),
-             bench::fmt_count(s.planned_loads),
-             bench::fmt_count(s.plan_rescores),
-             bench::fmt_count(s.plan_cache_credits),
-             bench::fmt_double(s.cpu_seconds, 4),
-             bench::fmt_double(ratio, 3)});
-        bench::JsonRecord record;
-        record.engine = s.engine;
-        record.dataset = "rmat-micro";
-        record.workload = "plan_window_" + std::to_string(window);
-        record.steps = s.steps;
-        record.io_busy_seconds = s.io_busy_seconds;
-        record.cpu_seconds = s.cpu_seconds;
-        record.peak_memory = s.peak_memory;
-        record.extras = {
-            {"plan_window", static_cast<double>(window)},
-            {"modeled_io_seconds", io_model},
-            {"modeled_io_vs_greedy", ratio},
-            {"io_wait_seconds", s.io_wait_seconds},
-            {"graph_bytes_read",
-             static_cast<double>(s.graph_bytes_read)},
-            {"planned_loads", static_cast<double>(s.planned_loads)},
-            {"plan_rescores", static_cast<double>(s.plan_rescores)},
-            {"plan_cache_credits",
-             static_cast<double>(s.plan_cache_credits)},
-            {"cache_hit_blocks",
-             static_cast<double>(s.cache_hit_blocks)},
-            {"cache_miss_blocks",
-             static_cast<double>(s.cache_miss_blocks)},
-        };
-        json.add(std::move(record));
-    }
-}
-
-/** Basic walk whose every walker starts at vertex 0 — the
- *  concentrated single-source access pattern (PPR-style) that marches
- *  through the block sequence as a pack. */
-class SourceWalk : public apps::BasicRandomWalk {
-  public:
-    SourceWalk(std::uint32_t length, graph::VertexId n)
-        : apps::BasicRandomWalk(length, n)
-    {
-    }
-
-    WalkerT
-    generate(std::uint64_t n)
-    {
-        return WalkerT{n, 0, 0};
-    }
-};
-
-/** Node2vec variant of the same pattern: every second-order walker
- *  starts at vertex 0.  GraSorw's trapezoid study predicts the
- *  largest load-ordering win for exactly this shape — second-order
- *  resolution touches the *next* block's adjacency, so starving the
- *  pipeline one block ahead is twice as expensive as first-order. */
-class SourceNode2Vec : public apps::Node2Vec {
-  public:
-    SourceNode2Vec(std::uint32_t length, graph::VertexId n)
-        : apps::Node2Vec(2.0, 0.5, length, n, 1)
-    {
-    }
-
-    WalkerT
-    generate(std::uint64_t n)
-    {
-        WalkerT w = apps::Node2Vec::generate(n);
-        w.location = 0;
-        return w;
-    }
-};
-
-/**
- * Plan-window ablation, flow-lookahead scenario (DESIGN.md §13): a
- * single-source walk on a forward ring lattice (v → v+32..v+39 mod n)
- * marches as a pack through the block sequence.  At any moment only
- * the pack's block holds parked walkers, so the greedy top-K can
- * nominate at most one or two blocks and the depth-4 pipeline starves;
- * once the first lap has taught the planner the block-to-block flow,
- * the successor extension speculates the blocks the pack is *about* to
- * enter.  Walk output stays bit-identical; modeled io_wait drops with
- * W.
- */
-template <typename App>
-void
-run_plan_march_case(const graph::GraphFile &file,
-                    const graph::BlockPartition &partition,
-                    bench::JsonReporter &json, const char *label,
-                    std::uint32_t length, std::uint64_t walkers)
-{
-    double greedy_io = 0.0;
-    for (const unsigned window : {0u, 2u, 4u, 8u}) {
-        App app(length, file.num_vertices());
-        core::EngineConfig cfg = core::EngineConfig::full(
-            0, partition.max_block_bytes());
-        cfg.prefetch_depth = 4;
-        cfg.plan_window = window;
-        // No presampling: the second lap must re-read every block, so
-        // the flow table learned on lap one actually steers loads.
-        cfg.presample = false;
-        core::NosWalkerEngine<App> eng(file, partition, cfg);
-        const auto s = eng.run(app, walkers);
-        const double io_model =
-            s.io_busy_seconds / s.io_efficiency + s.io_wait_seconds;
-        if (window == 0) {
-            greedy_io = io_model;
-        }
-        const double ratio =
-            greedy_io > 0.0 ? io_model / greedy_io : 0.0;
-        bench::print_table_row(
-            {std::string(label) + " W=" + std::to_string(window),
-             bench::fmt_double(io_model, 6),
-             bench::fmt_double(s.io_wait_seconds, 6),
-             bench::fmt_count(s.prefetch_hits),
-             bench::fmt_count(s.planned_loads),
-             bench::fmt_count(s.plan_rescores),
-             bench::fmt_double(ratio, 3)});
-        bench::JsonRecord record;
-        record.engine = s.engine;
-        record.dataset = "ring-march";
-        record.workload = std::string("plan_march_") + label + "_" +
-                          std::to_string(window);
-        record.steps = s.steps;
-        record.io_busy_seconds = s.io_busy_seconds;
-        record.cpu_seconds = s.cpu_seconds;
-        record.peak_memory = s.peak_memory;
-        record.extras = {
-            {"plan_window", static_cast<double>(window)},
-            {"modeled_io_seconds", io_model},
-            {"modeled_io_vs_greedy", ratio},
-            {"io_wait_seconds", s.io_wait_seconds},
-            {"prefetch_hits", static_cast<double>(s.prefetch_hits)},
-            {"prefetch_mispredicts",
-             static_cast<double>(s.prefetch_mispredicts)},
-            {"planned_loads", static_cast<double>(s.planned_loads)},
-            {"plan_rescores", static_cast<double>(s.plan_rescores)},
-        };
-        json.add(std::move(record));
-    }
-}
-
-void
-run_plan_march_ablation(bench::JsonReporter &json)
-{
-    graph::GraphBuilder builder;
-    const graph::VertexId n = 1 << 13;
-    for (graph::VertexId v = 0; v < n; ++v) {
-        for (std::uint32_t j = 0; j < 8; ++j) {
-            builder.add_edge(v, (v + 32 + j) % n);
-        }
-    }
-    graph::CsrGraph graph =
-        builder.build({.num_vertices = n});
-    storage::MemDevice device(storage::SsdModel::p4618());
-    graph::GraphFile::write(graph, device);
-    graph::GraphFile file(device);
-    graph::BlockPartition partition(file, file.edge_region_bytes() / 64);
-
-    constexpr std::uint64_t kWalkers = 4096;
-    constexpr std::uint32_t kLength = 512; // ~2 laps around the ring
-    std::printf("\nPlan-window march ablation: single-source walks "
-                "L=%u, %llu walkers, %u blocks on a forward ring\n",
-                kLength, static_cast<unsigned long long>(kWalkers),
-                static_cast<unsigned>(partition.num_blocks()));
-    bench::print_table_header(
-        "PlanMarch",
-        {"case", "io_model_s", "io_wait(s)", "hits", "planned",
-         "rescores", "io vs greedy"});
-    run_plan_march_case<SourceWalk>(file, partition, json, "1st",
-                                    kLength, kWalkers);
-    run_plan_march_case<SourceNode2Vec>(file, partition, json, "n2v",
-                                        kLength, kWalkers);
-}
-
 } // namespace
 
 int
@@ -660,8 +329,5 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     run_prefetch_ablation(json);
-    run_reorder_ablation(json);
-    run_plan_window_ablation(json);
-    run_plan_march_ablation(json);
     return 0;
 }

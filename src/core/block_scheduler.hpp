@@ -60,10 +60,9 @@ class BlockScheduler {
      *
      * Tie-break contract: equal counts resolve toward the LOWEST block
      * id.  This is a stated invariant, not an implementation accident —
-     * the processed-block schedule, the prefetch nomination, and the
-     * LoadPlanner's scoring (DESIGN.md §13) all rely on it for
-     * bit-identical walk output across plan windows, thread counts,
-     * and shard counts.
+     * the processed-block schedule and the prefetch nomination both
+     * rely on it for bit-identical walk output across prefetch depths,
+     * thread counts, and shard counts.
      */
     std::uint32_t hottest() const;
 
@@ -77,8 +76,7 @@ class BlockScheduler {
     /**
      * The up to @p k hottest blocks with waiting walkers, hottest
      * first, excluding every id in @p skip.  The depth-K prefetch
-     * pipeline uses this to nominate the next speculative loads, and
-     * the LoadPlanner builds its candidate pool from it.
+     * pipeline uses this to nominate the next speculative loads.
      *
      * Same tie-break contract as hottest(): equal counts resolve
      * toward the lowest block id, at every rank of the result.

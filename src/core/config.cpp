@@ -24,14 +24,6 @@ EngineConfig::validate() const
         throw util::ConfigError(
             "EngineConfig: prefetch_depth must be <= 64");
     }
-    if (prefetch_reorder_window > 64) {
-        throw util::ConfigError(
-            "EngineConfig: prefetch_reorder_window must be <= 64");
-    }
-    if (plan_window > 64) {
-        throw util::ConfigError(
-            "EngineConfig: plan_window must be <= 64");
-    }
     if (num_shards == 0 || num_shards > 256) {
         throw util::ConfigError(
             "EngineConfig: num_shards must be in [1, 256]");

@@ -118,31 +118,6 @@ struct EngineConfig {
      */
     bool shard_presample = false;
 
-    /**
-     * Lookahead window of the block-load planner (DESIGN.md §13): at
-     * each nomination point the planner scores the next
-     * prefetch_depth + plan_window hottest candidates by expected
-     * walker-steps-per-byte — propagating each committed pick's bucket
-     * drain one step along the measured block-to-block walker flow,
-     * and discounting blocks resident in the shared cache — and
-     * commits the best sequence to the depth-K pipeline.  0 keeps the
-     * greedy top-K nomination byte for byte.  Like prefetch_depth,
-     * the window never changes walk output: the engine always
-     * processes the scheduler's hottest block; planning only decides
-     * which bytes arrive early.
-     */
-    unsigned plan_window = 4;
-
-    /**
-     * Completed prefetch loads that may be consumed out of submission
-     * order, past older still-outstanding loads (0 = strict FIFO
-     * consumption; >= prefetch_depth = fully out of order).  Purely a
-     * stall-accounting/latency knob: byte-arrival order changes, the
-     * processed-block schedule — and therefore walk output — does not
-     * (DESIGN.md §10).
-     */
-    unsigned prefetch_reorder_window = 2;
-
     // --- Fig 14 breakdown knobs (all on = full NosWalker) ---
 
     /** Optimization (1): dynamic walker generation, no state swapping. */

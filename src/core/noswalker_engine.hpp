@@ -44,7 +44,6 @@
 
 #include "core/block_scheduler.hpp"
 #include "core/config.hpp"
-#include "core/load_planner.hpp"
 #include "core/prefetch_pipeline.hpp"
 #include "core/presample_pool.hpp"
 #include "core/step_kernel.hpp"
@@ -124,15 +123,6 @@ class NosWalkerEngine {
      * to detach; ignored while step_threads == 1.
      */
     void set_step_pool(util::ThreadPool *pool) { external_pool_ = pool; }
-
-    /**
-     * Fairness weight of the next run's load plans (walk-service
-     * tenants; DESIGN.md §13).  Values in (0, 1] gate the fraction of
-     * speculative slots a plan may commit; anything else means full
-     * weight.  Never affects walk output — only which bytes are
-     * speculated early.
-     */
-    void set_plan_weight(double weight) { plan_weight_ = weight; }
 
     /** run() with a per-run seed (per-batch walker injection). */
     engine::RunStats
@@ -233,8 +223,7 @@ class NosWalkerEngine {
             std::max<std::size_t>(prefetch_slots_, 1), &buffer_pool);
         PrefetchPipeline pipeline(
             loader, reader, buffer_pool, prefetch_slots_, shared_cache_,
-            file_->device().model().queue_latency,
-            config_.prefetch_reorder_window);
+            file_->device().model().queue_latency);
         const storage::IoStats io_before = file_->device().stats();
 
         App &a = app;
@@ -383,8 +372,6 @@ class NosWalkerEngine {
         local_io_bytes_ = 0;
         local_io_requests_ = 0;
         local_io_seconds_ = 0.0;
-        planner_.reset();
-        flow_src_ = BlockScheduler::kNoBlock;
     }
 
     /** Reserve the fixed memory regions and create the components. */
@@ -418,17 +405,6 @@ class NosWalkerEngine {
         scheduler_ = std::make_unique<BlockScheduler>(
             num_blocks, config_.alpha, file_->edge_region_bytes(),
             static_cast<std::uint32_t>(page));
-
-        if (config_.plan_window > 0) {
-            // plan_window == 0 must stay byte-for-byte greedy, so the
-            // planner (and its flow bookkeeping) only exists when the
-            // window is open (§13).
-            LoadPlanner::Options opts;
-            opts.window = config_.plan_window;
-            opts.tenant_weight = plan_weight_;
-            planner_ = std::make_unique<LoadPlanner>(*partition_, opts);
-            flow_count_.assign(num_blocks, 0);
-        }
 
         if (config_.walker_management) {
             std::uint64_t cap = config_.max_walkers;
@@ -581,24 +557,6 @@ class NosWalkerEngine {
         }
         exclude_scratch_.clear();
         pipeline.collect_covered(exclude_scratch_);
-        if (planner_ != nullptr) {
-            // Windowed lookahead (§13): score prefetch_depth +
-            // plan_window candidates by expected steps-per-byte and
-            // commit the best sequence.  The processed block is still
-            // always the scheduler's hottest, so planning never
-            // changes walk output — only which bytes arrive early.
-            const std::vector<std::uint32_t> &picks = planner_->plan(
-                *scheduler_, shared_cache_, exclude_scratch_,
-                pipeline.depth());
-            for (const std::uint32_t next : picks) {
-                if (!pipeline.can_speculate()) {
-                    break;
-                }
-                pipeline.speculate(partition_->block(next));
-                ++stats_.planned_loads;
-            }
-            return;
-        }
         const std::vector<std::uint32_t> picks =
             scheduler_->top_k_excluding(pipeline.depth(),
                                         exclude_scratch_);
@@ -761,12 +719,7 @@ class NosWalkerEngine {
         if (spill_) {
             spill_->retire(id, bucket.size());
         }
-        // Walkers parked out of this batch flowed *from* this block —
-        // the signal the planner's one-step transition estimate feeds
-        // on (§13).
-        flow_src_ = id;
         step_records(app, bucket, &response);
-        flow_src_ = BlockScheduler::kNoBlock;
     }
 
     /**
@@ -873,28 +826,15 @@ class NosWalkerEngine {
         // Emigrants free their pool slot without retiring: their walk
         // continues on the owning shard next round.
         pool_->retire_n(delta.retired + delta.emigrants);
-        if (planner_ != nullptr) {
-            // Walkers that leave without parking dilute the planner's
-            // transition estimate (§13).  Fresh injections (flow_src_
-            // == kNoBlock) are ignored — they are arrivals, not flow.
-            planner_->record_exits(flow_src_,
-                                   delta.retired + delta.emigrants);
-        }
     }
 
     /**
      * Act on every banked fate in index order (scheduler thread): park
-     * at the destination block, or append to the shard outbox.  Every
-     * parked walker is one observed (processed block → waiting block)
-     * transition; the planner gets one record_flow per distinct
-     * destination, in first-observation order — the flow table one
-     * call per walker would build, at one table scan per destination.
+     * at the destination block, or append to the shard outbox.
      */
     void
     park_banked(std::vector<Record> &records)
     {
-        const bool flow =
-            planner_ != nullptr && flow_src_ != BlockScheduler::kNoBlock;
         for (std::size_t i = 0; i < records.size(); ++i) {
             const std::uint32_t block = dest_[i];
             if (block == kDestRetired) {
@@ -904,20 +844,12 @@ class NosWalkerEngine {
                 emigrants_out_->push_back(std::move(records[i]));
                 continue;
             }
-            if (flow && flow_count_[block]++ == 0) {
-                flow_order_.push_back(block);
-            }
             pool_->park(block, records[i]);
             scheduler_->add_walker(block);
             if (spill_) {
                 spill_->park(block, 1);
             }
         }
-        for (const std::uint32_t dst : flow_order_) {
-            planner_->record_flow(flow_src_, dst, flow_count_[dst]);
-            flow_count_[dst] = 0;
-        }
-        flow_order_.clear();
     }
 
     void
@@ -939,11 +871,6 @@ class NosWalkerEngine {
                 : 0;
         stats_.prefetch_hits = pipeline.prefetch_hits;
         stats_.prefetch_mispredicts = pipeline.prefetch_mispredicts;
-        if (planner_ != nullptr) {
-            stats_.plan_rescores = planner_->stats().plan_rescores;
-            stats_.plan_cache_credits =
-                planner_->stats().plan_cache_credits;
-        }
         stats_.io_wait_seconds = pipeline.io_wait_seconds;
         local_io_bytes_ = pipeline.bytes_read;
         local_io_requests_ = pipeline.read_requests;
@@ -1037,21 +964,9 @@ class NosWalkerEngine {
 
     std::unique_ptr<WalkerPool<Record>> pool_;
     std::unique_ptr<BlockScheduler> scheduler_;
-    /** Lookahead block-load planner; null when plan_window == 0 so the
-     *  greedy nomination path stays byte-for-byte untouched (§13). */
-    std::unique_ptr<LoadPlanner> planner_;
-    /** Block whose bucket the walkers being merged were stepped from
-     *  (kNoBlock during fresh-injection admission). */
-    std::uint32_t flow_src_ = BlockScheduler::kNoBlock;
-    /** park_banked scratch: walkers per destination block (all zero
-     *  between calls) and destinations in first-seen order. */
-    std::vector<std::uint64_t> flow_count_;
-    std::vector<std::uint32_t> flow_order_;
     /** Per-slot fate the step kernel banks for step_records' batch: a
      *  destination block, kDestRetired or kDestEmigrant. */
     std::vector<std::uint32_t> dest_;
-    /** Tenant fairness weight applied to the next run's plans (§13). */
-    double plan_weight_ = 1.0;
     /** Pre-sample buffers; null when pre-sampling is off.  Its cap
      *  never varies with prefetch depth (§10). */
     std::unique_ptr<PreSamplePool> presamples_;

@@ -13,11 +13,9 @@ PrefetchPipeline::PrefetchPipeline(storage::AsyncLoader &loader,
                                    storage::BlockBufferPool &pool,
                                    std::size_t depth,
                                    storage::SharedBlockCache *cache,
-                                   double queue_latency,
-                                   std::size_t reorder_window)
+                                   double queue_latency)
     : loader_(&loader), reader_(&reader), pool_(&pool), depth_(depth),
-      cache_(cache), queue_latency_(queue_latency),
-      window_(reorder_window)
+      cache_(cache), queue_latency_(queue_latency)
 {
     NOSWALKER_CHECK(loader.depth() >= std::max<std::size_t>(depth, 1));
 }
@@ -82,7 +80,6 @@ PrefetchPipeline::speculate(const graph::BlockInfo &block)
     const double submitted = now_;
     const std::uint64_t seq = loader_->submit(std::move(request));
     inflight_.push_back({block.id, submitted, seq, true});
-    unconsumed_.push_back({seq, block.id, 0.0, false});
 }
 
 double
@@ -125,55 +122,6 @@ PrefetchPipeline::charge_wait(double ready_at)
 }
 
 void
-PrefetchPipeline::record_ready(std::uint64_t seq, double ready_at)
-{
-    for (Unconsumed &u : unconsumed_) {
-        if (u.seq == seq) {
-            u.ready_at = ready_at;
-            u.banked = true;
-            return;
-        }
-    }
-}
-
-void
-PrefetchPipeline::forget_unconsumed(std::uint64_t seq)
-{
-    for (auto it = unconsumed_.begin(); it != unconsumed_.end(); ++it) {
-        if (it->seq == seq) {
-            unconsumed_.erase(it);
-            return;
-        }
-    }
-}
-
-void
-PrefetchPipeline::apply_window_charges(std::uint64_t seq)
-{
-    // Entries are ticket-ordered, so the loads this serve would bypass
-    // form a prefix of the deque.
-    std::size_t older = 0;
-    while (older < unconsumed_.size() && unconsumed_[older].seq < seq) {
-        ++older;
-    }
-    if (older <= window_) {
-        return;
-    }
-    // FIFO discipline for all but the newest window_ of them: they
-    // pass the consumer first, so their modeled completion times are
-    // charged.  Each has necessarily been banked already — the serial
-    // loader completes requests in ticket order and the newer target
-    // is in hand — so the ready times are known.
-    std::size_t passes = older - window_;
-    while (passes-- > 0) {
-        const Unconsumed front = unconsumed_.front();
-        unconsumed_.pop_front();
-        NOSWALKER_CHECK(front.banked);
-        charge_wait(front.ready_at);
-    }
-}
-
-void
 PrefetchPipeline::bank_response(storage::AsyncLoader::Response response)
 {
     NOSWALKER_CHECK(!inflight_.empty());
@@ -183,19 +131,19 @@ PrefetchPipeline::bank_response(storage::AsyncLoader::Response response)
                     response.block->id == head.block &&
                     response.ticket == head.seq);
     // Banked without charging the clock: the consumer is not blocked
-    // on this load.  The reorder window decides at serve time whether
-    // its completion must be waited out before a newer block.
-    const double ready = finish_time(response, head.submitted);
+    // on this load until it is served.  Loads bank in ticket order, so
+    // the running max is the FIFO bound of this ticket.
+    banked_ready_ =
+        std::max(banked_ready_, finish_time(response, head.submitted));
     account(response);
-    record_ready(head.seq, ready);
-    admitted_.emplace(head.block, Parked{std::move(response), ready,
-                                         head.seq, head.speculative});
+    admitted_.emplace(head.block, Parked{std::move(response), banked_ready_,
+                                         head.speculative});
 }
 
 void
 PrefetchPipeline::bank_next_blocking()
 {
-    bank_response(loader_->consume_any());
+    bank_response(loader_->wait());
 }
 
 void
@@ -230,82 +178,32 @@ PrefetchPipeline::obtain(storage::AsyncLoader::Request demand)
     NOSWALKER_CHECK(demand.block != nullptr);
     const std::uint32_t id = demand.block->id;
 
-    if (const auto it = stash_.find(id); it != stash_.end()) {
-        Parked parked = std::move(it->second);
-        stash_.erase(it);
-        apply_window_charges(parked.seq);
-        forget_unconsumed(parked.seq);
-        charge_wait(parked.ready_at);
-        ++stats_.prefetch_hits;
-        return adapt(std::move(parked.response), demand);
-    }
-    if (const auto it = admitted_.find(id); it != admitted_.end()) {
-        Parked parked = std::move(it->second);
-        admitted_.erase(it);
-        apply_window_charges(parked.seq);
-        forget_unconsumed(parked.seq);
-        charge_wait(parked.ready_at);
-        ++stats_.prefetch_hits;
-        return adapt(std::move(parked.response), demand);
-    }
-
-    const bool speculated = std::any_of(
-        inflight_.begin(), inflight_.end(),
-        [id](const Inflight &f) { return f.block == id; });
-    if (!speculated) {
-        ++stats_.demand_loads;
-        // All loader slots may be occupied by speculation: bank the
-        // oldest completion(s) until one frees up.  No charge — the
-        // window rule below decides what must be waited out.
-        while (!loader_->can_submit()) {
-            bank_next_blocking();
-        }
-        const double submitted = now_;
-        const std::uint64_t seq = loader_->submit(std::move(demand));
-        inflight_.push_back({id, submitted, seq, false});
-        unconsumed_.push_back({seq, id, 0.0, false});
-    }
-
-    // Bring the target's completion into hand.  Fast path: it already
-    // completed — pluck it out of submission order.  The loads ahead
-    // of it have then necessarily completed too (the serial loader
-    // finishes requests in ticket order), so bank them first, keeping
-    // the modeled device timeline in submission order.
     Parked parked;
-    if (auto ready = loader_->try_consume(id); ready.has_value()) {
-        if (ready->error) {
-            std::rethrow_exception(ready->error);
-        }
-        while (!inflight_.empty() && inflight_.front().block != id) {
-            auto older = loader_->try_wait();
-            NOSWALKER_CHECK(older.has_value());
-            if (older->error) {
-                std::rethrow_exception(older->error);
-            }
-            bank_response(std::move(*older));
-        }
-        NOSWALKER_CHECK(!inflight_.empty());
-        const Inflight head = inflight_.front();
-        inflight_.pop_front();
-        NOSWALKER_CHECK(ready->block->id == head.block &&
-                        ready->ticket == head.seq);
-        const double at = finish_time(*ready, head.submitted);
-        account(*ready);
-        record_ready(head.seq, at);
-        parked =
-            Parked{std::move(*ready), at, head.seq, head.speculative};
+    if (const auto it = stash_.find(id); it != stash_.end()) {
+        parked = std::move(it->second);
+        stash_.erase(it);
     } else {
-        // The target is still loading: bank completions in ticket
-        // order (blocking) until it lands.
+        if (!covers(id)) {
+            ++stats_.demand_loads;
+            // All loader slots may be occupied by speculation: bank the
+            // oldest completion(s) until one frees up.  No charge — the
+            // served load's FIFO bound covers them.
+            while (!loader_->can_submit()) {
+                bank_next_blocking();
+            }
+            const double submitted = now_;
+            const std::uint64_t seq = loader_->submit(std::move(demand));
+            inflight_.push_back({id, submitted, seq, false});
+        }
+        // Bank completions in ticket order (blocking) until the target
+        // lands.
         while (admitted_.find(id) == admitted_.end()) {
             bank_next_blocking();
         }
-        auto it = admitted_.find(id);
-        parked = std::move(it->second);
-        admitted_.erase(it);
+        const auto banked = admitted_.find(id);
+        parked = std::move(banked->second);
+        admitted_.erase(banked);
     }
-    apply_window_charges(parked.seq);
-    forget_unconsumed(parked.seq);
     charge_wait(parked.ready_at);
     if (parked.speculative) {
         // `demand` is intact here: it was only moved on the
@@ -328,9 +226,7 @@ PrefetchPipeline::sweep(const BlockScheduler &scheduler)
         }
         // Misprediction: the bucket drained before the block was
         // chosen.  Demote — publish the coarse bytes to the shared
-        // cache and park the buffer in the stash for a re-steer.  The
-        // unconsumed entry stays: FIFO accounting for the bypassed
-        // load is the window rule's decision, not demotion's.
+        // cache and park the buffer in the stash for a re-steer.
         ++stats_.prefetch_mispredicts;
         Parked parked = std::move(it->second);
         it = admitted_.erase(it);
@@ -368,7 +264,7 @@ PrefetchPipeline::finish()
         // without charging the io-wait clock.
         const Inflight head = inflight_.front();
         inflight_.pop_front();
-        storage::AsyncLoader::Response response = loader_->consume_any();
+        storage::AsyncLoader::Response response = loader_->wait();
         NOSWALKER_CHECK(response.block != nullptr &&
                         response.block->id == head.block &&
                         response.ticket == head.seq);
@@ -387,7 +283,6 @@ PrefetchPipeline::finish()
         recycle(std::move(parked.response.buffer));
     }
     stash_.clear();
-    unconsumed_.clear();
     last_hot_.clear();
 }
 

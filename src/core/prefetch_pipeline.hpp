@@ -26,16 +26,13 @@
  * `filtered_demotions` the ones the admission filter kept out of the
  * shared cache.
  *
- * Completion consumption is out-of-order behind a bounded *reorder
- * window*: every request is ticketed, per-request modeled completion
- * times are fixed in submission order (requests serialize on the
- * modeled device), but a demand for an already-completed block is
- * served even while an older, slower load is still outstanding.  The
- * window bounds the bypass: all but the newest `reorder_window` older
- * unconsumed loads must pass the consumer (their completion times are
- * charged) before a newer block may be served.  `reorder_window = 0`
- * recovers strict FIFO consumption; `reorder_window >= depth` is fully
- * out of order.
+ * Completion consumption is strict FIFO: every request is ticketed,
+ * per-request modeled completion times are fixed in submission order
+ * (requests serialize on the modeled device), and the one loader thread
+ * completes them in that order, so a served load is charged the latest
+ * modeled completion among itself and every older ticket.  A cache hit
+ * queued behind a slow read therefore waits the read out, as it does
+ * on the real loader thread.
  *
  * Stall accounting runs on a modeled timeline: the clock advances only
  * when the engine blocks on a load (compute is modeled as fully
@@ -44,8 +41,7 @@
  * cache hits complete at submission.  io_wait_seconds is therefore a
  * deterministic, machine-independent function of the run — at depth 1
  * every load pays the queue latency; at depth K the latency amortizes
- * across the queue, and the reorder window keeps one slow fine-mode
- * load at the head from stalling completed loads behind it.
+ * across the queue.
  */
 #pragma once
 
@@ -104,15 +100,12 @@ class PrefetchPipeline {
      * @param depth   speculative slots (0 = demand loading only).
      * @param cache   optional shared cache demoted loads publish to.
      * @param queue_latency  per-request submission latency, seconds.
-     * @param reorder_window  completed loads that may be consumed past
-     *        older outstanding ones (0 = strict FIFO consumption).
      */
     PrefetchPipeline(storage::AsyncLoader &loader,
                      storage::BlockReader &reader,
                      storage::BlockBufferPool &pool, std::size_t depth,
                      storage::SharedBlockCache *cache,
-                     double queue_latency,
-                     std::size_t reorder_window = 0);
+                     double queue_latency);
 
     ~PrefetchPipeline();
 
@@ -121,9 +114,6 @@ class PrefetchPipeline {
 
     /** Speculative slots (0 = speculation disabled). */
     std::size_t depth() const { return depth_; }
-
-    /** Reorder window (0 = strict FIFO consumption). */
-    std::size_t reorder_window() const { return window_; }
 
     /**
      * True when another speculative load may start: a slot is free
@@ -146,8 +136,8 @@ class PrefetchPipeline {
 
     /**
      * Deliver the block of @p demand, preferring speculative results
-     * over issuing the demand load.  Blocking waits charge the modeled
-     * io-wait clock, subject to the reorder window.  A coarse
+     * over issuing the demand load.  Serving a load charges the modeled
+     * io-wait clock up to its FIFO completion.  A coarse
      * speculative result serving a fine demand is refined to the
      * demand's needed list.
      */
@@ -179,10 +169,9 @@ class PrefetchPipeline {
     /** A completed load waiting to be chosen. */
     struct Parked {
         storage::AsyncLoader::Response response;
-        /** Modeled completion time on the pipeline clock. */
+        /** Latest modeled completion among this load and every older
+         *  ticket: when the FIFO consumer may take it. */
         double ready_at = 0.0;
-        /** Submission ticket (consumption-order accounting). */
-        std::uint64_t seq = 0;
         /** False only for the demand load of the serving obtain(). */
         bool speculative = true;
     };
@@ -195,22 +184,6 @@ class PrefetchPipeline {
     };
 
     /**
-     * A submitted load that has not yet passed the consumer — served,
-     * or charged as part of a window prefix.  Demotion does *not*
-     * remove an entry: whether a mispredicted load must be waited out
-     * under FIFO discipline is decided by the window rule, never by
-     * (arrival-order-dependent) demotion timing, keeping the modeled
-     * accounting identical across loader threading modes.
-     */
-    struct Unconsumed {
-        std::uint64_t seq = 0;
-        std::uint32_t block = 0;
-        /** Modeled completion time; valid once banked. */
-        double ready_at = 0.0;
-        bool banked = false;
-    };
-
-    /**
      * Consume the oldest outstanding load (blocking) and bank it in
      * the admitted set without charging the io-wait clock.
      */
@@ -218,19 +191,6 @@ class PrefetchPipeline {
 
     /** Bank one already-completed response for the in-flight head. */
     void bank_response(storage::AsyncLoader::Response response);
-
-    /**
-     * Enforce the reorder window before serving seq @p seq: all but
-     * the newest window_ older unconsumed loads pass the consumer,
-     * charging their modeled completion times.
-     */
-    void apply_window_charges(std::uint64_t seq);
-
-    /** Drop @p seq from the unconsumed ordering (it was served). */
-    void forget_unconsumed(std::uint64_t seq);
-
-    /** Record the modeled completion time of ticket @p seq. */
-    void record_ready(std::uint64_t seq, double ready_at);
 
     /** Modeled completion time of @p response submitted at @p submitted. */
     double finish_time(const storage::AsyncLoader::Response &response,
@@ -253,12 +213,8 @@ class PrefetchPipeline {
     std::size_t depth_;
     storage::SharedBlockCache *cache_;
     double queue_latency_;
-    std::size_t window_;
 
     std::deque<Inflight> inflight_;
-    /** Submission-ordered loads not yet served or demoted; the reorder
-     *  window is enforced against this sequence. */
-    std::deque<Unconsumed> unconsumed_;
     /** Ordered maps: sweep/finish iterate deterministically. */
     std::map<std::uint32_t, Parked> admitted_;
     std::map<std::uint32_t, Parked> stash_;
@@ -272,6 +228,9 @@ class PrefetchPipeline {
     double now_ = 0.0;
     /** Modeled time the (serial) device frees up. */
     double device_free_ = 0.0;
+    /** Latest modeled completion banked so far (loads bank in ticket
+     *  order, so this is every older ticket's FIFO bound). */
+    double banked_ready_ = 0.0;
 
     Stats stats_;
 };

@@ -7,8 +7,7 @@
  * Slots are a vector indexed by block id, so lookups on the step path
  * are one indexed load, and eviction scans blocks in ascending id
  * order: equal scheduler counts evict the LOWEST block id — the same
- * tie-break contract as BlockScheduler::hottest() and the LoadPlanner
- * (DESIGN.md §9).
+ * tie-break contract as BlockScheduler::hottest() (DESIGN.md §9).
  *
  * The pool charges its own accountant, whose cap the engine claims up
  * front from the global budget: eviction pressure then depends only on

@@ -50,12 +50,11 @@ struct RunStats {
      *  (demoted to the shared cache / stash, never discarded). */
     std::uint64_t prefetch_mispredicts = 0;
 
-    /** Speculative loads committed by the LoadPlanner (plan_window > 0;
-     *  DESIGN.md §13). */
+    /** Counters of the retired lookahead load planner: always 0.  They
+     *  stay because the repository benchmark (walkbench/walkbench.cpp)
+     *  still reports them; drop them with its next metric change. */
     std::uint64_t planned_loads = 0;
-    /** One-step walker-flow propagations applied while planning. */
     std::uint64_t plan_rescores = 0;
-    /** Planned picks whose cost was discounted for cache residency. */
     std::uint64_t plan_cache_credits = 0;
 
     /** Walkers handed across shard boundaries (sharded engine only). */

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 
 namespace noswalker::service {
 
@@ -73,38 +72,6 @@ struct ServiceConfig {
      * latency/memory trade-off per worker.
      */
     unsigned prefetch_depth = 2;
-
-    /**
-     * Per-engine reorder window for prefetch consumption (see
-     * EngineConfig::prefetch_reorder_window): completed loads that may
-     * be served past older outstanding ones.  0 = strict FIFO.
-     */
-    unsigned prefetch_reorder_window = 2;
-
-    /**
-     * Per-engine lookahead window of the block-load planner (see
-     * EngineConfig::plan_window; DESIGN.md §13).  0 keeps the greedy
-     * top-K nomination.  Never changes request output.
-     */
-    unsigned plan_window = 4;
-
-    /**
-     * Per-tenant fairness weights in (0, 1] gating how many
-     * speculative slots a batch's load plans may commit (DESIGN.md
-     * §13).  A batch runs at the *minimum* weight of the tenants
-     * coalesced into it, so a throttled tenant cannot ride a
-     * full-weight batch.  Unlisted tenants run at full weight.  Only
-     * consulted while plan_window > 0; never changes request output.
-     */
-    std::map<std::uint64_t, double> tenant_weights;
-
-    /** The plan weight of @p tenant (1.0 when unlisted). */
-    double
-    tenant_weight(std::uint64_t tenant) const
-    {
-        const auto it = tenant_weights.find(tenant);
-        return it == tenant_weights.end() ? 1.0 : it->second;
-    }
 
     /** Engine walker-pool cap per run (0 = derive from the budget). */
     std::uint64_t max_walkers = 0;

@@ -61,7 +61,6 @@ TrafficModel::make_episode(std::uint64_t seed) const
     cfg.tenant_max_queue = pick<std::size_t>(rng, {0, 2, 6});
     cfg.step_threads = pick(rng, {1u, 2u});
     cfg.num_shards = pick(rng, {1u, 1u, 2u});
-    cfg.plan_window = pick(rng, {0u, 4u});
     cfg.prefetch_depth = pick(rng, {1u, 2u});
     cfg.queue_over_budget = rng.next_bool(0.5);
     // Fast-failing budget waits keep adversarial episodes short.
@@ -354,7 +353,6 @@ TrafficModel::describe(const TrafficEpisode &episode)
         << " tenant_max_queue=" << cfg.tenant_max_queue
         << " step_threads=" << cfg.step_threads
         << " shards=" << cfg.num_shards
-        << " plan_window=" << cfg.plan_window
         << " prefetch_depth=" << cfg.prefetch_depth
         << " budget=" << cfg.memory_budget
         << " cache=" << cfg.cache_bytes

@@ -4,7 +4,7 @@
  *
  * A TrafficModel expands one 64-bit seed into a fully deterministic
  * *episode*: a ServiceConfig knob permutation (workers, batching,
- * shards, step threads, plan window, queue bounds, budget mode) plus a
+ * shards, step threads, queue bounds, budget mode) plus a
  * scripted sequence of client events — tenant-skewed submissions,
  * bursts, budget-starving giants, tight deadlines, malformed requests,
  * and an optional mid-flight stop().  run_episode() drives a fresh

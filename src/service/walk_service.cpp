@@ -38,19 +38,6 @@ ServiceConfig::validate() const
     if (prefetch_depth > 64) {
         throw util::ConfigError("service: prefetch_depth must be <= 64");
     }
-    if (prefetch_reorder_window > 64) {
-        throw util::ConfigError(
-            "service: prefetch_reorder_window must be <= 64");
-    }
-    if (plan_window > 64) {
-        throw util::ConfigError("service: plan_window must be <= 64");
-    }
-    for (const auto &[tenant, weight] : tenant_weights) {
-        if (weight <= 0.0 || weight > 1.0) {
-            throw util::ConfigError(
-                "service: tenant_weights values must be in (0, 1]");
-        }
-    }
     if (num_shards == 0 || num_shards > 256) {
         throw util::ConfigError(
             "service: num_shards must be in [1, 256]");
@@ -137,17 +124,6 @@ class BatchRunner {
         return engine_->run(app, total_walkers, seed);
     }
 
-    /** Fairness weight of the next run's load plans (DESIGN.md §13). */
-    void
-    set_plan_weight(double weight)
-    {
-        if (sharded_) {
-            sharded_->set_plan_weight(weight);
-        } else {
-            engine_->set_plan_weight(weight);
-        }
-    }
-
     /** Per-shard lifetime totals of the last run (null when the runner
      *  drives a plain single engine). */
     const std::vector<engine::RunStats> *
@@ -169,8 +145,6 @@ class BatchRunner {
         ec.max_walkers = config.max_walkers;
         ec.step_threads = config.step_threads;
         ec.prefetch_depth = config.prefetch_depth;
-        ec.prefetch_reorder_window = config.prefetch_reorder_window;
-        ec.plan_window = config.plan_window;
         ec.num_shards = config.num_shards;
         ec.shard_overlap = config.shard_overlap;
         // Shared pre-sample reservoirs would make a request's output
@@ -648,18 +622,6 @@ WalkService::run_batch(Batch &batch, BatchRunner &runner)
     // results depend solely on their own per-request seeds.
     const std::uint64_t engine_seed =
         live.id * 0x9e3779b97f4a7c15ULL + 1;
-
-    // Load plans run at the batch's most-throttled tenant: a weighted
-    // tenant must not ride a full-weight batch to extra speculative
-    // slots.  Never changes results (§13) — only speculation.
-    if (config_.plan_window > 0 && !config_.tenant_weights.empty()) {
-        double weight = 1.0;
-        for (const Pending &pending : live.requests) {
-            weight = std::min(
-                weight, config_.tenant_weight(pending.request.tenant));
-        }
-        runner.set_plan_weight(weight);
-    }
 
     engine::RunStats stats;
     bool ran = false;

@@ -150,15 +150,6 @@ class ShardedEngine {
         }
     }
 
-    /** Fairness weight of every shard's load plans (DESIGN.md §13). */
-    void
-    set_plan_weight(double weight)
-    {
-        for (Shard &shard : shards_) {
-            shard.engine->set_plan_weight(weight);
-        }
-    }
-
     /** Shards actually planned (num_shards clamped to the blocks). */
     unsigned num_shards() const { return plan_.num_shards(); }
 

@@ -43,29 +43,6 @@ AsyncLoader::submit(Request request)
     return ticket;
 }
 
-void
-AsyncLoader::drain_ready()
-{
-    for (;;) {
-        auto response = responses_.try_pop();
-        if (!response.has_value()) {
-            return;
-        }
-        const std::uint64_t ticket = response->ticket;
-        banked_.emplace(ticket, std::move(*response));
-    }
-}
-
-AsyncLoader::Response
-AsyncLoader::pop_banked()
-{
-    NOSWALKER_CHECK(!banked_.empty());
-    auto it = banked_.begin();
-    Response response = std::move(it->second);
-    banked_.erase(it);
-    return response;
-}
-
 AsyncLoader::Response
 AsyncLoader::consume(Response response)
 {
@@ -75,39 +52,26 @@ AsyncLoader::consume(Response response)
 }
 
 AsyncLoader::Response
-AsyncLoader::wait()
+AsyncLoader::run_pending()
 {
-    Response response = consume_any();
-    return response;
+    NOSWALKER_CHECK(!pending_.empty());
+    Request request = std::move(pending_.front());
+    pending_.pop_front();
+    return execute(request);
 }
 
 AsyncLoader::Response
-AsyncLoader::consume_any()
+AsyncLoader::wait()
 {
     NOSWALKER_CHECK(outstanding());
-    if (!background_) {
-        if (!banked_.empty()) {
-            Response response = consume(pop_banked());
-            if (response.error) {
-                std::rethrow_exception(response.error);
-            }
-            return response;
-        }
-        Request request = std::move(pending_.front());
-        pending_.pop_front();
-        Response response = consume(execute(request));
-        if (response.error) {
-            std::rethrow_exception(response.error);
-        }
-        return response;
+    Response response;
+    if (background_) {
+        auto popped = responses_.pop();
+        NOSWALKER_CHECK(popped.has_value());
+        response = consume(std::move(*popped));
+    } else {
+        response = consume(run_pending());
     }
-    drain_ready();
-    if (banked_.empty()) {
-        auto response = responses_.pop();
-        NOSWALKER_CHECK(response.has_value());
-        banked_.emplace(response->ticket, std::move(*response));
-    }
-    Response response = consume(pop_banked());
     if (response.error) {
         std::rethrow_exception(response.error);
     }
@@ -121,57 +85,13 @@ AsyncLoader::try_wait()
         return std::nullopt;
     }
     if (!background_) {
-        if (!banked_.empty()) {
-            return consume(pop_banked());
-        }
-        Request request = std::move(pending_.front());
-        pending_.pop_front();
-        return consume(execute(request));
+        return consume(run_pending());
     }
-    drain_ready();
-    if (banked_.empty()) {
+    auto response = responses_.try_pop();
+    if (!response.has_value()) {
         return std::nullopt;
     }
-    return consume(pop_banked());
-}
-
-std::optional<AsyncLoader::Response>
-AsyncLoader::try_consume(std::uint32_t block_id)
-{
-    if (!outstanding()) {
-        return std::nullopt;
-    }
-    if (background_) {
-        drain_ready();
-    } else {
-        // Execute every pending load up to and including the target —
-        // the work a background thread would already have finished by
-        // the time the target completed — banking the earlier ones.
-        const bool queued = std::any_of(
-            pending_.begin(), pending_.end(), [&](const Request &r) {
-                return r.block->id == block_id;
-            });
-        if (queued) {
-            for (;;) {
-                Request request = std::move(pending_.front());
-                pending_.pop_front();
-                const bool target = request.block->id == block_id;
-                Response response = execute(request);
-                banked_.emplace(response.ticket, std::move(response));
-                if (target) {
-                    break;
-                }
-            }
-        }
-    }
-    for (auto it = banked_.begin(); it != banked_.end(); ++it) {
-        if (it->second.block->id == block_id) {
-            Response response = std::move(it->second);
-            banked_.erase(it);
-            return consume(std::move(response));
-        }
-    }
-    return std::nullopt;
+    return consume(std::move(*response));
 }
 
 AsyncLoader::Response

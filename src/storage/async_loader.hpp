@@ -1,28 +1,20 @@
 /**
  * @file
- * Background block loader (Figure 6 ①), now a depth-K pipeline with
- * completion-order-independent retrieval.
+ * Background block loader (Figure 6 ①), a depth-K FIFO pipeline.
  *
  * NosWalker decouples disk loading from walker processing: a dedicated
  * I/O thread keeps pulling the scheduler's chosen blocks into buffers
  * while the processing thread consumes pre-samples.  Up to `depth`
  * requests may be outstanding at once (bounded queues).  Every request
- * is tagged with a monotonically increasing *ticket* at submission;
- * completed loads land in an internal bank from which the consumer may
- * retrieve them in any order:
- *
- *  - wait()/try_wait() consume the oldest outstanding ticket (FIFO),
- *  - consume_any() consumes the lowest-ticket *completed* load,
- *  - try_consume(block_id) plucks a specific block's completed load
- *    out of the bank even while older, slower loads are still pending.
+ * is tagged with a monotonically increasing *ticket* at submission,
+ * and because the one loader thread completes requests in submission
+ * order, wait()/try_wait() always hand back the oldest outstanding
+ * ticket.
  *
  * The 0-thread mode (`background = false`) emulates the same pipeline
  * without a thread: submissions park in a pending queue and the
- * consume calls execute them on the spot — try_consume(block) runs
- * every pending request up to and including the target (exactly the
- * work a background thread would have finished by then), banking the
- * earlier completions, so tests can diff 0/1-thread behaviour
- * deterministically.
+ * consume calls execute the oldest one on the spot, so tests can diff
+ * 0/1-thread behaviour deterministically.
  */
 #pragma once
 
@@ -30,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <map>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -105,8 +96,8 @@ class AsyncLoader {
 
     /**
      * Wait for the oldest outstanding load and return it; rethrows the
-     * load's error, if any.  Equivalent to consume_any() because one
-     * loader thread completes requests in ticket order.
+     * load's error, if any.  In 0-thread mode the load executes on the
+     * spot.
      * @pre outstanding().
      */
     Response wait();
@@ -120,34 +111,11 @@ class AsyncLoader {
      */
     std::optional<Response> try_wait();
 
-    /**
-     * Consume the lowest-ticket completed load, blocking until one
-     * completes; rethrows the load's error, if any.  In 0-thread mode
-     * the banked completions (from earlier try_consume calls) drain
-     * first, then the oldest pending load executes.
-     * @pre outstanding().
-     */
-    Response consume_any();
-
-    /**
-     * Retrieve the completed load of @p block_id out of submission
-     * order: older, slower loads stay outstanding.  In 0-thread mode
-     * every pending load up to and including the target executes (the
-     * work a background thread would have finished), with the earlier
-     * completions banked for later consume calls.  Errors are reported
-     * in Response::error (not rethrown).
-     * @return nullopt when no outstanding load matches @p block_id or
-     *         the matching load has not completed yet.
-     */
-    std::optional<Response> try_consume(std::uint32_t block_id);
-
   private:
     Response execute(Request &request);
     void loop();
-    /** Move every already-arrived background completion to the bank. */
-    void drain_ready();
-    /** Remove and return the banked response with the lowest ticket. */
-    Response pop_banked();
+    /** Execute the oldest pending request (0-thread mode). */
+    Response run_pending();
     /** Finish consuming @p response (bookkeeping shared by all paths). */
     Response consume(Response response);
 
@@ -158,9 +126,6 @@ class AsyncLoader {
     std::size_t inflight_ = 0;
     std::uint64_t next_ticket_ = 0;
     std::deque<Request> pending_; ///< 0-thread mode: FIFO of submissions
-    /** Completed-but-unconsumed loads, keyed by ticket (ordered so the
-     *  lowest ticket pops first). */
-    std::map<std::uint64_t, Response> banked_;
     util::BlockingQueue<Request> requests_;
     util::BlockingQueue<Response> responses_;
     std::thread thread_;

@@ -16,13 +16,6 @@ SharedBlockCache::find(std::uint32_t block_id)
     return it->second->second;
 }
 
-bool
-SharedBlockCache::resident(std::uint32_t block_id) const
-{
-    std::lock_guard lock(mutex_);
-    return index_.count(block_id) != 0;
-}
-
 void
 SharedBlockCache::insert(std::uint32_t block_id,
                          std::uint64_t aligned_begin,

@@ -75,15 +75,6 @@ class SharedBlockCache {
     std::shared_ptr<const Entry> find(std::uint32_t block_id);
 
     /**
-     * Non-mutating residency probe: no LRU bump, no hit/miss count.
-     * The LoadPlanner's residency term (DESIGN.md §13) asks many times
-     * per planning point whether a candidate's bytes are cached;
-     * find() here would skew both the recency order and the hit-rate
-     * counters the service reports per tenant.
-     */
-    bool resident(std::uint32_t block_id) const;
-
-    /**
      * Publish a completed coarse load (best effort).  Oversized entries
      * and entries that cannot fit the byte capacity or the attached
      * budget after evicting colder blocks are dropped silently.

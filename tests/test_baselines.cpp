@@ -317,6 +317,8 @@ TEST(RunStats, ScaledAndAccumulateRoundTripNewerCounters)
     s.io_wait_seconds = 2.0;
     s.prefetch_hits = 40;
     s.prefetch_mispredicts = 8;
+    s.cache_hit_blocks = 6;
+    s.cache_miss_blocks = 8;
     s.migrations = 100;
     s.migration_batches = 10;
     s.migration_wait_seconds = 0.4;
@@ -331,6 +333,8 @@ TEST(RunStats, ScaledAndAccumulateRoundTripNewerCounters)
     EXPECT_DOUBLE_EQ(half.io_wait_seconds, 1.0);
     EXPECT_EQ(half.prefetch_hits, 20u);
     EXPECT_EQ(half.prefetch_mispredicts, 4u);
+    EXPECT_EQ(half.cache_hit_blocks, 3u);
+    EXPECT_EQ(half.cache_miss_blocks, 4u);
     EXPECT_EQ(half.migrations, 50u);
     EXPECT_EQ(half.migration_batches, 5u);
     EXPECT_DOUBLE_EQ(half.migration_wait_seconds, 0.2);
@@ -347,6 +351,8 @@ TEST(RunStats, ScaledAndAccumulateRoundTripNewerCounters)
     other.io_wait_seconds = 0.5;
     other.prefetch_hits = 5;
     other.prefetch_mispredicts = 1;
+    other.cache_hit_blocks = 2;
+    other.cache_miss_blocks = 1;
     other.migrations = 7;
     other.migration_batches = 2;
     other.migration_wait_seconds = 0.1;
@@ -359,6 +365,8 @@ TEST(RunStats, ScaledAndAccumulateRoundTripNewerCounters)
     EXPECT_DOUBLE_EQ(sum.io_wait_seconds, 1.5);
     EXPECT_EQ(sum.prefetch_hits, 25u);
     EXPECT_EQ(sum.prefetch_mispredicts, 5u);
+    EXPECT_EQ(sum.cache_hit_blocks, 5u);
+    EXPECT_EQ(sum.cache_miss_blocks, 5u);
     EXPECT_EQ(sum.migrations, 57u);
     EXPECT_EQ(sum.migration_batches, 7u);
     EXPECT_DOUBLE_EQ(sum.migration_wait_seconds, 0.3);

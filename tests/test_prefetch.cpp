@@ -6,15 +6,18 @@
  * speculation only changes how its bytes arrive (DESIGN.md §10).
  *
  * Also covers the satellite mechanics: the modeled io-wait drop with
- * depth, the misprediction demote/re-steer path, FIFO completion order
- * of the depth-K loader in both threading modes, and the allocation
- * churn fixes (capacity-retaining BlockBuffer, recycling pool).
+ * depth, the FIFO stall charge, the misprediction demote/re-steer
+ * path, output stability against a cold vs warm shared cache, FIFO
+ * completion order of the depth-K loader in both threading modes, and
+ * the allocation churn fixes (capacity-retaining BlockBuffer,
+ * recycling pool).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "apps/node2vec.hpp"
@@ -189,7 +192,7 @@ TEST_F(PrefetchTest, BasicWalkIsBitIdenticalAcrossDepths)
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<std::vector<std::uint32_t>> visits;
     std::vector<std::uint64_t> steps;
-    for (const unsigned threads : {1u, 4u}) {
+    for (const unsigned threads : {1u, 4u, 8u}) {
         for (const unsigned depth : {0u, 1u, 2u, 4u}) {
             ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
                                         kWalkers);
@@ -393,81 +396,79 @@ TEST_F(PrefetchTest, MispredictDemotesToCacheAndResteers)
     pipeline.finish();
 }
 
-TEST_F(PrefetchTest, WalkIsBitIdenticalAcrossReorderWindows)
+TEST_F(PrefetchTest, CachedDemandWaitsOutOlderSlowLoad)
 {
-    // Out-of-order consumption changes when bytes arrive, never which
-    // block the engine processes (always the scheduler's hottest), so
-    // FIFO, a bounded window, and fully out-of-order delivery produce
-    // the same walk bit-for-bit at every thread count.
-    constexpr std::uint64_t kWalkers = 600;
-    constexpr std::uint32_t kLength = 24;
-    std::vector<std::vector<graph::VertexId>> endpoints;
-    std::vector<std::vector<std::uint32_t>> visits;
-    std::vector<std::uint64_t> steps;
-    for (const unsigned threads : {1u, 8u}) {
-        for (const unsigned window : {0u, 2u, 4u}) {
-            ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
-                                        kWalkers);
-            core::EngineConfig cfg = config(/*depth=*/4, threads);
-            cfg.prefetch_reorder_window = window;
-            core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
-                *file_, *partition_, cfg);
-            const auto stats = eng.run(app, kWalkers);
-            endpoints.push_back(app.endpoints);
-            std::vector<std::uint32_t> v(app.visits.size());
-            for (std::size_t i = 0; i < v.size(); ++i) {
-                v[i] = app.visits[i].load();
-            }
-            visits.push_back(std::move(v));
-            steps.push_back(stats.steps);
-        }
+    // A slow speculative load is at the FIFO head when the engine
+    // demands a block the shared cache serves at once.  The one loader
+    // thread completes requests in submission order, so the cache hit
+    // is charged the slow load's modeled completion.
+    util::MemoryBudget budget;
+    storage::SharedBlockCache cache(1ULL << 20);
+    storage::BlockReader reader(*file_, budget, 8ULL << 20, &cache);
+    {
+        // Pre-populate the cache with block 2 (published on miss).
+        storage::BlockBuffer warm;
+        reader.load_coarse(partition_->block(2), warm);
+        warm.release_storage();
     }
-    EXPECT_GT(steps[0], 0u);
-    for (std::size_t t = 1; t < endpoints.size(); ++t) {
-        EXPECT_EQ(steps[t], steps[0]) << "config " << t;
-        EXPECT_EQ(endpoints[t], endpoints[0]) << "config " << t;
-        EXPECT_EQ(visits[t], visits[0]) << "config " << t;
-    }
+    ASSERT_NE(cache.find(2), nullptr);
+    storage::BlockBufferPool pool;
+    storage::AsyncLoader loader(reader, /*background=*/false,
+                                /*depth=*/2, &pool);
+    constexpr double kQueueLatency = 80e-6;
+    core::PrefetchPipeline pipeline(loader, reader, pool, /*depth=*/2,
+                                    &cache, kQueueLatency);
+    pipeline.speculate(partition_->block(1)); // slow device load
+    storage::AsyncLoader::Request demand;
+    demand.block = &partition_->block(2); // cache hit, zero I/O
+    auto response = pipeline.obtain(std::move(demand));
+    EXPECT_EQ(response.block->id, 2u);
+    EXPECT_TRUE(response.result.from_cache);
+    const double io_wait = pipeline.stats().io_wait_seconds;
+    pipeline.recycle(std::move(response.buffer));
+
+    // The slow load is already banked; serving it reveals its modeled
+    // completion (submitted at 0 on an idle device) and charges no
+    // more.
+    storage::AsyncLoader::Request slow;
+    slow.block = &partition_->block(1);
+    auto head = pipeline.obtain(std::move(slow));
+    ASSERT_FALSE(head.result.from_cache);
+    EXPECT_GT(io_wait, 0.0) << "FIFO must wait out the slow head";
+    EXPECT_DOUBLE_EQ(io_wait,
+                     kQueueLatency + head.result.modeled_seconds);
+    EXPECT_DOUBLE_EQ(pipeline.stats().io_wait_seconds, io_wait);
+    pipeline.recycle(std::move(head.buffer));
+    pipeline.finish();
 }
 
-TEST_F(PrefetchTest, ReorderWindowServesCachedDemandPastSlowLoad)
+TEST_F(PrefetchTest, ColdVsWarmCacheKeepsOutputStable)
 {
-    // The head-of-line case the window exists for: a slow speculative
-    // load is at the FIFO head when the engine demands a block the
-    // shared cache can serve instantly.  FIFO consumption charges the
-    // slow load's completion time before the demand; a window >= the
-    // bypass count serves the demand at once.
-    util::MemoryBudget budget;
-    std::vector<double> io_wait;
-    for (const unsigned window : {0u, 2u}) {
-        storage::SharedBlockCache cache(1ULL << 20);
-        storage::BlockReader reader(*file_, budget, 8ULL << 20, &cache);
-        {
-            // Pre-populate the cache with block 2 (published on miss).
-            storage::BlockBuffer warm;
-            reader.load_coarse(partition_->block(2), warm);
-            warm.release_storage();
-        }
-        ASSERT_NE(cache.find(2), nullptr);
-        storage::BlockBufferPool pool;
-        storage::AsyncLoader loader(reader, /*background=*/false,
-                                    /*depth=*/2, &pool);
-        core::PrefetchPipeline pipeline(loader, reader, pool,
-                                        /*depth=*/2, &cache,
-                                        /*queue_latency=*/80e-6, window);
-        pipeline.speculate(partition_->block(1)); // slow device load
-        storage::AsyncLoader::Request demand;
-        demand.block = &partition_->block(2); // cache hit, zero I/O
-        auto response = pipeline.obtain(std::move(demand));
-        EXPECT_EQ(response.block->id, 2u);
-        EXPECT_TRUE(response.result.from_cache);
-        io_wait.push_back(pipeline.stats().io_wait_seconds);
-        pipeline.recycle(std::move(response.buffer));
-        pipeline.finish();
+    // A warm shared cache changes where a load's bytes come from, never
+    // which block the engine processes, so the walk must not move.
+    constexpr std::uint64_t kWalkers = 400;
+    constexpr std::uint32_t kLength = 16;
+    storage::SharedBlockCache cache(32ULL << 20);
+    std::vector<std::vector<graph::VertexId>> endpoints;
+    engine::RunStats cold;
+    engine::RunStats warm;
+    for (int pass = 0; pass < 2; ++pass) {
+        ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                    kWalkers);
+        core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, config(/*depth=*/4, /*threads=*/1));
+        eng.set_shared_cache(&cache);
+        const auto stats = eng.run(app, kWalkers);
+        endpoints.push_back(app.endpoints);
+        (pass == 0 ? cold : warm) = stats;
     }
-    EXPECT_GT(io_wait[0], 0.0) << "FIFO must wait out the slow head";
-    EXPECT_EQ(io_wait[1], 0.0) << "window serves the completed demand";
-    EXPECT_LT(io_wait[1], io_wait[0]);
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+    EXPECT_GT(cold.cache_miss_blocks, 0u) << "cold pass reads the device";
+    EXPECT_GT(warm.cache_hit_blocks, 0u) << "warm pass hits the cache";
+    EXPECT_EQ(warm.cache_hit_blocks + warm.cache_miss_blocks,
+              warm.blocks_loaded)
+        << "every coarse load is a hit or a miss";
+    EXPECT_LE(warm.cache_miss_blocks, cold.cache_miss_blocks);
 }
 
 TEST_F(PrefetchTest, SweepAdmissionFilterSkipsStaleDemotions)
@@ -483,8 +484,7 @@ TEST_F(PrefetchTest, SweepAdmissionFilterSkipsStaleDemotions)
     storage::AsyncLoader loader(reader, /*background=*/false,
                                 /*depth=*/2, &pool);
     core::PrefetchPipeline pipeline(loader, reader, pool, /*depth=*/2,
-                                    &cache, /*queue_latency=*/80e-6,
-                                    /*reorder_window=*/2);
+                                    &cache, /*queue_latency=*/80e-6);
     core::BlockScheduler sched(partition_->num_blocks(), 4.0,
                                file_->edge_region_bytes(), 4096);
 
@@ -506,74 +506,47 @@ TEST_F(PrefetchTest, SweepAdmissionFilterSkipsStaleDemotions)
     pipeline.finish();
 }
 
-TEST_F(PrefetchTest, AsyncLoaderConsumesCompletionsOutOfOrder)
-{
-    // The ticketed consume paths: try_consume plucks a specific
-    // completed block past older outstanding loads; consume_any then
-    // drains the rest in ticket order.  Identical in both threading
-    // modes — the 0-thread loader executes pending work up to the
-    // target on the spot.
-    util::MemoryBudget budget;
-    storage::BlockReader reader(*file_, budget);
-    ASSERT_GE(partition_->num_blocks(), 3u);
-    for (const bool background : {false, true}) {
-        storage::BlockBufferPool pool;
-        storage::AsyncLoader loader(reader, background, /*depth=*/3,
-                                    &pool);
-        for (const std::uint32_t id : {0u, 1u, 2u}) {
-            storage::AsyncLoader::Request request;
-            request.block = &partition_->block(id);
-            loader.submit(std::move(request));
-        }
-        EXPECT_FALSE(loader.try_consume(7u).has_value())
-            << "no outstanding load for that block";
-        std::optional<storage::AsyncLoader::Response> last;
-        while (!last.has_value()) { // background: wait for completion
-            last = loader.try_consume(2u);
-        }
-        EXPECT_EQ(last->block->id, 2u) << "background=" << background;
-        EXPECT_TRUE(last->buffer.complete());
-        EXPECT_EQ(loader.inflight(), 2u);
-        pool.recycle(std::move(last->buffer));
-        EXPECT_FALSE(loader.try_consume(2u).has_value())
-            << "already consumed";
-        for (const std::uint32_t id : {0u, 1u}) {
-            auto response = loader.consume_any();
-            EXPECT_EQ(response.block->id, id)
-                << "background=" << background;
-            pool.recycle(std::move(response.buffer));
-        }
-        EXPECT_FALSE(loader.outstanding());
-    }
-}
-
 TEST_F(PrefetchTest, AsyncLoaderCompletesInFifoOrderAtDepthK)
 {
     util::MemoryBudget budget;
     storage::BlockReader reader(*file_, budget);
     ASSERT_GE(partition_->num_blocks(), 3u);
+    // Both retrieval calls hand back the oldest ticket: wait() blocks
+    // for it, try_wait() polls for it.
     for (const bool background : {false, true}) {
-        storage::BlockBufferPool pool;
-        storage::AsyncLoader loader(reader, background, /*depth=*/3,
-                                    &pool);
-        EXPECT_EQ(loader.depth(), 3u);
-        for (const std::uint32_t id : {0u, 1u, 2u}) {
-            ASSERT_TRUE(loader.can_submit());
-            storage::AsyncLoader::Request request;
-            request.block = &partition_->block(id);
-            loader.submit(std::move(request));
-        }
-        EXPECT_FALSE(loader.can_submit()) << "background=" << background;
-        EXPECT_EQ(loader.inflight(), 3u);
-        for (const std::uint32_t id : {0u, 1u, 2u}) {
-            auto response = loader.wait();
-            EXPECT_EQ(response.block->id, id)
+        for (const bool polled : {false, true}) {
+            storage::BlockBufferPool pool;
+            storage::AsyncLoader loader(reader, background, /*depth=*/3,
+                                        &pool);
+            EXPECT_EQ(loader.depth(), 3u);
+            for (const std::uint32_t id : {0u, 1u, 2u}) {
+                ASSERT_TRUE(loader.can_submit());
+                storage::AsyncLoader::Request request;
+                request.block = &partition_->block(id);
+                EXPECT_EQ(loader.submit(std::move(request)), id);
+            }
+            EXPECT_FALSE(loader.can_submit())
                 << "background=" << background;
-            EXPECT_TRUE(response.buffer.complete());
-            pool.recycle(std::move(response.buffer));
+            EXPECT_EQ(loader.inflight(), 3u);
+            for (const std::uint32_t id : {0u, 1u, 2u}) {
+                std::optional<storage::AsyncLoader::Response> response;
+                if (polled) {
+                    while (!response.has_value()) {
+                        response = loader.try_wait();
+                    }
+                } else {
+                    response = loader.wait();
+                }
+                EXPECT_EQ(response->block->id, id)
+                    << "background=" << background << " polled=" << polled;
+                EXPECT_EQ(response->ticket, id);
+                EXPECT_TRUE(response->buffer.complete());
+                pool.recycle(std::move(response->buffer));
+            }
+            EXPECT_FALSE(loader.outstanding());
+            EXPECT_FALSE(loader.try_wait().has_value());
+            EXPECT_TRUE(loader.can_submit());
         }
-        EXPECT_FALSE(loader.outstanding());
-        EXPECT_TRUE(loader.can_submit());
     }
 }
 

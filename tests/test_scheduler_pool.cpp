@@ -57,8 +57,8 @@ TEST(BlockScheduler, RemoveWalkersUnderflowClampsInsteadOfWrapping)
 
 TEST(BlockScheduler, HottestBreaksTiesTowardLowestBlockId)
 {
-    // Stated determinism contract (not an accident): the planner's
-    // candidate order and the processed-block schedule rely on it.
+    // Stated determinism contract (not an accident): the prefetch
+    // nomination and the processed-block schedule rely on it.
     core::BlockScheduler sched(5, 4.0, 1 << 20, 4096);
     sched.add_walker(4);
     sched.add_walker(2);

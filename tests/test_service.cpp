@@ -594,6 +594,7 @@ TEST(WalkService, SharedCacheServesRepeatedRequests)
     WalkService service(*s.file, *s.partition, cfg);
 
     WalkRequest request;
+    request.tenant = 9;
     request.starts = {3, 5, 7};
     request.walks_per_start = 10;
     request.length = 12;
@@ -609,6 +610,15 @@ TEST(WalkService, SharedCacheServesRepeatedRequests)
     const WalkResult third = service.submit(request).get();
     ASSERT_TRUE(third.ok());
     EXPECT_EQ(third.endpoints, first.endpoints);
+
+    // The cold run's misses and the warm runs' hits land in the
+    // tenant's aggregated RunStats, and nowhere else.
+    const engine::RunStats tenant = service.tenant_stats(9);
+    EXPECT_GT(tenant.cache_miss_blocks, 0u) << "cold run misses";
+    EXPECT_GT(tenant.cache_hit_blocks, 0u) << "warm runs hit";
+    const engine::RunStats other = service.tenant_stats(1234);
+    EXPECT_EQ(other.cache_hit_blocks, 0u);
+    EXPECT_EQ(other.cache_miss_blocks, 0u);
 }
 
 } // namespace

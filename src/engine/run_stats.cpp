@@ -57,6 +57,9 @@ RunStats::operator+=(const RunStats &other)
     cache_miss_blocks += other.cache_miss_blocks;
     prefetch_hits += other.prefetch_hits;
     prefetch_mispredicts += other.prefetch_mispredicts;
+    planned_loads += other.planned_loads;
+    plan_rescores += other.plan_rescores;
+    plan_cache_credits += other.plan_cache_credits;
     migrations += other.migrations;
     migration_batches += other.migration_batches;
     kernel_cohorts += other.kernel_cohorts;
@@ -103,6 +106,9 @@ RunStats::scaled(double fraction) const
     out.cache_miss_blocks = part(cache_miss_blocks);
     out.prefetch_hits = part(prefetch_hits);
     out.prefetch_mispredicts = part(prefetch_mispredicts);
+    out.planned_loads = part(planned_loads);
+    out.plan_rescores = part(plan_rescores);
+    out.plan_cache_credits = part(plan_cache_credits);
     out.migrations = part(migrations);
     out.migration_batches = part(migration_batches);
     out.kernel_cohorts = part(kernel_cohorts);

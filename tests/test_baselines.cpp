@@ -378,6 +378,34 @@ TEST(RunStats, ScaledAndAccumulateRoundTripNewerCounters)
     EXPECT_TRUE(sum.pipelined);
 }
 
+TEST(RunStatsPlanner, CountersFoldAndScale)
+{
+    // The engine always leaves the plan counters at 0, but they fold
+    // and scale like every other counter, so a reader of RunStats
+    // (walkbench) never sees a partial aggregate.
+    engine::RunStats a;
+    a.planned_loads = 10;
+    a.plan_rescores = 6;
+    a.plan_cache_credits = 4;
+    a.cache_miss_blocks = 8;
+    engine::RunStats b;
+    b.planned_loads = 2;
+    b.plan_rescores = 1;
+    b.plan_cache_credits = 3;
+    b.cache_miss_blocks = 2;
+    a += b;
+    EXPECT_EQ(a.planned_loads, 12u);
+    EXPECT_EQ(a.plan_rescores, 7u);
+    EXPECT_EQ(a.plan_cache_credits, 7u);
+    EXPECT_EQ(a.cache_miss_blocks, 10u);
+
+    const engine::RunStats half = a.scaled(0.5);
+    EXPECT_EQ(half.planned_loads, 6u);
+    EXPECT_EQ(half.plan_rescores, 4u); // 3.5 rounds to 4
+    EXPECT_EQ(half.plan_cache_credits, 4u);
+    EXPECT_EQ(half.cache_miss_blocks, 5u);
+}
+
 TEST(RunStatsKernel, CountersAggregateAndScale)
 {
     engine::RunStats a;

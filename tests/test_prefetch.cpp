@@ -28,6 +28,7 @@
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
 #include "recording_app.hpp"
+#include "shard/sharded_engine.hpp"
 #include "storage/async_loader.hpp"
 #include "storage/block_buffer_pool.hpp"
 #include "storage/block_reader.hpp"
@@ -192,7 +193,7 @@ TEST_F(PrefetchTest, BasicWalkIsBitIdenticalAcrossDepths)
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<std::vector<std::uint32_t>> visits;
     std::vector<std::uint64_t> steps;
-    for (const unsigned threads : {1u, 4u, 8u}) {
+    for (const unsigned threads : {1u, 4u}) {
         for (const unsigned depth : {0u, 1u, 2u, 4u}) {
             ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
                                         kWalkers);
@@ -471,6 +472,85 @@ TEST_F(PrefetchTest, ColdVsWarmCacheKeepsOutputStable)
     EXPECT_LE(warm.cache_miss_blocks, cold.cache_miss_blocks);
 }
 
+// The LoadPlannerEngineTest cases are named for the lookahead load
+// planner that once sat in front of the greedy top-K nomination.  With
+// the planner retired they check what it left behind at the planner's
+// depth of 4: the walk does not move across step threads or shards,
+// and the plan counters RunStats still reports stay 0.
+using LoadPlannerEngineTest = PrefetchTest;
+
+void
+expect_no_plan_counters(const engine::RunStats &stats)
+{
+    EXPECT_EQ(stats.planned_loads, 0u) << "greedy path must not plan";
+    EXPECT_EQ(stats.plan_rescores, 0u);
+    EXPECT_EQ(stats.plan_cache_credits, 0u);
+}
+
+TEST_F(LoadPlannerEngineTest, WalkIsBitIdenticalAcrossPlanWindows)
+{
+    constexpr std::uint64_t kWalkers = 600;
+    constexpr std::uint32_t kLength = 24;
+    std::vector<std::vector<graph::VertexId>> endpoints;
+    std::vector<std::vector<std::uint32_t>> visits;
+    std::vector<std::uint64_t> steps;
+    for (const unsigned threads : {1u, 8u}) {
+        ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                    kWalkers);
+        core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, config(/*depth=*/4, threads));
+        const auto stats = eng.run(app, kWalkers);
+        endpoints.push_back(app.endpoints);
+        std::vector<std::uint32_t> v(app.visits.size());
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            v[i] = app.visits[i].load();
+        }
+        visits.push_back(std::move(v));
+        steps.push_back(stats.steps);
+        expect_no_plan_counters(stats);
+    }
+    EXPECT_GT(steps[0], 0u);
+    EXPECT_EQ(steps[1], steps[0]);
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+    EXPECT_EQ(visits[1], visits[0]);
+}
+
+TEST_F(LoadPlannerEngineTest, Node2VecIsBitIdenticalAcrossPlanWindows)
+{
+    std::vector<std::vector<graph::VertexId>> endpoints;
+    std::vector<std::uint64_t> steps;
+    for (const unsigned threads : {1u, 8u}) {
+        RecordingNode2Vec app(2.0, 0.5, 12, file_->num_vertices(), 2);
+        core::NosWalkerEngine<RecordingNode2Vec> eng(
+            *file_, *partition_, config(/*depth=*/4, threads));
+        const auto stats = eng.run(app, app.total_walkers());
+        endpoints.push_back(app.endpoints);
+        steps.push_back(stats.steps);
+        expect_no_plan_counters(stats);
+    }
+    EXPECT_EQ(steps[1], steps[0]);
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+}
+
+TEST_F(LoadPlannerEngineTest, ShardedWalkBitIdenticalAcrossPlanWindows)
+{
+    constexpr std::uint64_t kWalkers = 400;
+    constexpr std::uint32_t kLength = 16;
+    std::vector<std::vector<graph::VertexId>> endpoints;
+    for (const unsigned shards : {1u, 2u}) {
+        ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                    kWalkers);
+        core::EngineConfig cfg = config(/*depth=*/4, /*threads=*/1);
+        cfg.num_shards = shards;
+        shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, cfg);
+        const auto stats = eng.run(app, kWalkers);
+        endpoints.push_back(app.endpoints);
+        expect_no_plan_counters(stats);
+    }
+    EXPECT_EQ(endpoints[1], endpoints[0]);
+}
+
 TEST_F(PrefetchTest, SweepAdmissionFilterSkipsStaleDemotions)
 {
     // ROADMAP item 2: a demoted block whose scheduler heat is older
@@ -504,6 +584,60 @@ TEST_F(PrefetchTest, SweepAdmissionFilterSkipsStaleDemotions)
     EXPECT_EQ(cache.find(1), nullptr) << "stale block must not publish";
     EXPECT_TRUE(pipeline.covers(1)) << "still stashed for a re-steer";
     pipeline.finish();
+}
+
+TEST_F(PrefetchTest, AsyncLoaderConsumesCompletionsOutOfOrder)
+{
+    // The loader completes tickets in submission order, yet the engine
+    // may consume them in any order: obtain() banks the older loads on
+    // its way to the target, and later demands for them are served from
+    // the bank without new I/O and without a further stall charge.
+    // Identical in both threading modes.
+    util::MemoryBudget budget;
+    storage::BlockReader reader(*file_, budget);
+    ASSERT_GE(partition_->num_blocks(), 3u);
+    for (const bool background : {false, true}) {
+        storage::BlockBufferPool pool;
+        storage::AsyncLoader loader(reader, background, /*depth=*/3,
+                                    &pool);
+        core::PrefetchPipeline pipeline(loader, reader, pool, /*depth=*/3,
+                                        nullptr, /*queue_latency=*/80e-6);
+        for (const std::uint32_t id : {0u, 1u, 2u}) {
+            ASSERT_TRUE(pipeline.can_speculate());
+            pipeline.speculate(partition_->block(id));
+        }
+        EXPECT_FALSE(pipeline.covers(7u))
+            << "no outstanding load for that block";
+
+        storage::AsyncLoader::Request newest;
+        newest.block = &partition_->block(2);
+        auto last = pipeline.obtain(std::move(newest));
+        EXPECT_EQ(last.block->id, 2u) << "background=" << background;
+        EXPECT_TRUE(last.buffer.complete());
+        EXPECT_FALSE(loader.outstanding()) << "older tickets are banked";
+        EXPECT_FALSE(pipeline.covers(2u)) << "already consumed";
+        EXPECT_TRUE(pipeline.covers(0u));
+        EXPECT_TRUE(pipeline.covers(1u));
+        const double io_wait = pipeline.stats().io_wait_seconds;
+        EXPECT_GT(io_wait, 0.0);
+        pipeline.recycle(std::move(last.buffer));
+
+        for (const std::uint32_t id : {1u, 0u}) {
+            storage::AsyncLoader::Request older;
+            older.block = &partition_->block(id);
+            auto response = pipeline.obtain(std::move(older));
+            EXPECT_EQ(response.block->id, id)
+                << "background=" << background;
+            EXPECT_TRUE(response.buffer.complete());
+            pipeline.recycle(std::move(response.buffer));
+        }
+        EXPECT_DOUBLE_EQ(pipeline.stats().io_wait_seconds, io_wait)
+            << "banked loads were already waited out";
+        EXPECT_EQ(pipeline.stats().prefetch_hits, 3u);
+        EXPECT_EQ(pipeline.stats().demand_loads, 0u);
+        EXPECT_EQ(pipeline.stats().speculative_loads, 3u);
+        pipeline.finish();
+    }
 }
 
 TEST_F(PrefetchTest, AsyncLoaderCompletesInFifoOrderAtDepthK)

@@ -594,7 +594,6 @@ TEST(WalkService, SharedCacheServesRepeatedRequests)
     WalkService service(*s.file, *s.partition, cfg);
 
     WalkRequest request;
-    request.tenant = 9;
     request.starts = {3, 5, 7};
     request.walks_per_start = 10;
     request.length = 12;
@@ -610,12 +609,49 @@ TEST(WalkService, SharedCacheServesRepeatedRequests)
     const WalkResult third = service.submit(request).get();
     ASSERT_TRUE(third.ok());
     EXPECT_EQ(third.endpoints, first.endpoints);
+}
 
-    // The cold run's misses and the warm runs' hits land in the
-    // tenant's aggregated RunStats, and nowhere else.
+TEST(LoadPlannerService, PerTenantStatsCarryCacheCounters)
+{
+    // Per-tenant SharedBlockCache accounting.  Two requests from one
+    // tenant: the first warms the cache, the second hits it, and both
+    // land in the tenant's aggregated RunStats and nowhere else.
+    graph::CsrGraph g = graph::generate_rmat(
+        {.scale = 9, .edge_factor = 8, .a = 0.57, .b = 0.19, .c = 0.19,
+         .seed = 21, .symmetrize = false, .weighted = false});
+    storage::MemDevice device;
+    graph::GraphFile::write(g, device);
+    graph::GraphFile file(device);
+    graph::BlockPartition partition(file,
+                                    file.edge_region_bytes() / 8);
+
+    ServiceConfig cfg;
+    cfg.num_workers = 1;
+    cfg.max_batch = 1;
+    cfg.batch_window_seconds = 0.0;
+    cfg.cache_bytes = 32ULL << 20;
+    WalkService service(file, partition, cfg);
+
+    WalkRequest request;
+    request.tenant = 9;
+    request.seed = 77;
+    request.kind = WalkKind::kEndpoints;
+    request.length = 16;
+    request.walks_per_start = 50;
+    for (graph::VertexId v = 0; v < 8; ++v) {
+        request.starts.push_back(v * 31 % file.num_vertices());
+    }
+
+    auto first = service.submit(request).get();
+    ASSERT_EQ(first.status, WalkStatus::kOk);
+    auto second = service.submit(request).get();
+    ASSERT_EQ(second.status, WalkStatus::kOk);
+    EXPECT_EQ(second.endpoints, first.endpoints)
+        << "same request + seed must reproduce";
+
     const engine::RunStats tenant = service.tenant_stats(9);
     EXPECT_GT(tenant.cache_miss_blocks, 0u) << "cold run misses";
-    EXPECT_GT(tenant.cache_hit_blocks, 0u) << "warm runs hit";
+    EXPECT_GT(tenant.cache_hit_blocks, 0u) << "warm run hits";
     const engine::RunStats other = service.tenant_stats(1234);
     EXPECT_EQ(other.cache_hit_blocks, 0u);
     EXPECT_EQ(other.cache_miss_blocks, 0u);

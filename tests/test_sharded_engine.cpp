@@ -196,8 +196,6 @@ TEST_F(ShardedEngineTest, PlanIsContiguousAndByteBalanced)
 
 TEST_F(ShardedEngineTest, BasicWalkBitIdenticalAcrossShardsAndThreads)
 {
-    // Prefetch depth rides along: speculation never changes which
-    // block a shard processes.
     constexpr std::uint64_t kWalkers = 600;
     constexpr std::uint32_t kLength = 24;
     std::vector<std::vector<graph::VertexId>> endpoints;
@@ -205,25 +203,21 @@ TEST_F(ShardedEngineTest, BasicWalkBitIdenticalAcrossShardsAndThreads)
     std::vector<std::uint64_t> steps;
     for (const unsigned shards : {1u, 2u, 4u}) {
         for (const unsigned threads : {1u, 8u}) {
-            for (const unsigned depth : {2u, 4u}) {
-                ShardRecordingWalk app(kLength, file_->num_vertices(),
-                                       kWalkers);
-                core::EngineConfig cfg = config(shards, threads);
-                cfg.prefetch_depth = depth;
-                shard::ShardedEngine<ShardRecordingWalk> eng(
-                    *file_, *partition_, cfg);
-                const auto stats = eng.run(app, kWalkers);
-                endpoints.push_back(app.endpoints);
-                std::vector<std::uint32_t> v(app.visits.size());
-                for (std::size_t i = 0; i < v.size(); ++i) {
-                    v[i] = app.visits[i].load();
-                }
-                visits.push_back(std::move(v));
-                steps.push_back(stats.steps);
-                if (shards == 1) {
-                    EXPECT_EQ(stats.migrations, 0u);
-                    EXPECT_EQ(stats.migration_wait_seconds, 0.0);
-                }
+            ShardRecordingWalk app(kLength, file_->num_vertices(),
+                                   kWalkers);
+            shard::ShardedEngine<ShardRecordingWalk> eng(
+                *file_, *partition_, config(shards, threads));
+            const auto stats = eng.run(app, kWalkers);
+            endpoints.push_back(app.endpoints);
+            std::vector<std::uint32_t> v(app.visits.size());
+            for (std::size_t i = 0; i < v.size(); ++i) {
+                v[i] = app.visits[i].load();
+            }
+            visits.push_back(std::move(v));
+            steps.push_back(stats.steps);
+            if (shards == 1) {
+                EXPECT_EQ(stats.migrations, 0u);
+                EXPECT_EQ(stats.migration_wait_seconds, 0.0);
             }
         }
     }

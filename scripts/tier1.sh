@@ -2,8 +2,9 @@
 # Tier-1 verification: the full build + test suite, a ThreadSanitizer
 # pass over the concurrent suites (the `tsan` test preset in
 # CMakePresets.json holds the list), a smoke run of the storage and
-# shard benches, and the repository benchmark's self-test plus a short
-# output-checked run (scripts/walkbench_smoke.sh).
+# shard benches, and the repository benchmark's self-test plus short
+# output-checked runs of oc-node2vec-2shard and svc
+# (scripts/walkbench_smoke.sh).
 #
 # Usage: scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -27,7 +28,7 @@ echo "== tier 1: bench smoke (micro_storage ablations + shard scaling) =="
 ./build/bench/shard_scaling >/dev/null
 
 echo
-echo "== tier 1: walkbench self-test + oc-node2vec-2shard smoke =="
+echo "== tier 1: walkbench self-test + oc-node2vec-2shard and svc smoke =="
 scripts/walkbench_smoke.sh
 
 echo

@@ -52,7 +52,12 @@ struct ServiceConfig {
     /** Engine block size in bytes. */
     std::uint64_t block_bytes = 1ULL << 20;
 
-    /** Background loader threads per engine (0 = synchronous loads). */
+    /**
+     * Loader thread switch per engine, as EngineConfig::loader_threads:
+     * 0 = every load on the engine's thread; nonzero (any value) = one
+     * loader thread for speculative loads, started only when the
+     * engine first speculates.
+     */
     unsigned loader_threads = 1;
 
     /**

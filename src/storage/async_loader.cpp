@@ -13,9 +13,6 @@ AsyncLoader::AsyncLoader(BlockReader &reader, bool background,
       depth_(std::max<std::size_t>(depth, 1)), pool_(pool),
       requests_(depth_), responses_(depth_)
 {
-    if (background_) {
-        thread_ = std::thread([this] { loop(); });
-    }
 }
 
 AsyncLoader::~AsyncLoader()
@@ -36,11 +33,29 @@ AsyncLoader::submit(Request request)
     request.ticket = ticket;
     ++inflight_;
     if (background_) {
+        if (!thread_.joinable()) {
+            // First lookahead load: only now is there something for a
+            // second thread to overlap with.
+            thread_ = std::thread([this] { loop(); });
+        }
         requests_.push(std::move(request));
     } else {
         pending_.push_back(std::move(request));
     }
     return ticket;
+}
+
+AsyncLoader::Response
+AsyncLoader::load_now(Request request)
+{
+    NOSWALKER_CHECK(!outstanding());
+    NOSWALKER_CHECK(request.block != nullptr);
+    request.ticket = next_ticket_++;
+    Response response = execute(request);
+    if (response.error) {
+        std::rethrow_exception(response.error);
+    }
+    return response;
 }
 
 AsyncLoader::Response

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
+#include "probe_device.hpp"
 #include "service/walk_service.hpp"
 #include "storage/mem_device.hpp"
 
@@ -609,6 +611,45 @@ TEST(WalkService, SharedCacheServesRepeatedRequests)
     const WalkResult third = service.submit(request).get();
     ASSERT_TRUE(third.ok());
     EXPECT_EQ(third.endpoints, first.endpoints);
+}
+
+TEST(ServiceFaults, FailedReadFailsItsRequestAndTheBudgetDrains)
+{
+    // One injected device read error: the request whose engine run hit
+    // it finishes kFailed and is counted, the shared budget returns to
+    // 0, and once the device reads again the next request succeeds
+    // with the result it would have had.
+    Fixture s(skewed_graph(), 4096);
+    testing_support::ProbeDevice probe(s.device);
+    graph::GraphFile file(probe);
+    graph::BlockPartition partition(file, 4096);
+    ServiceConfig cfg;
+    cfg.num_workers = 1;
+    cfg.max_batch = 1;
+    cfg.batch_window_seconds = 0.0;
+    WalkService service(file, partition, cfg);
+
+    WalkRequest request;
+    request.starts = {3, 5, 7};
+    request.walks_per_start = 10;
+    request.length = 12;
+    const WalkResult first = service.submit(request).get();
+    ASSERT_TRUE(first.ok());
+
+    probe.fail_read(1);
+    const WalkResult hit = service.submit(request).get();
+    EXPECT_EQ(hit.status, WalkStatus::kFailed);
+    EXPECT_NE(hit.error.find("injected"), std::string::npos) << hit.error;
+    EXPECT_EQ(service.counters().failed, 1u);
+    EXPECT_EQ(service.budget().used(), 0u);
+
+    const WalkResult next = service.submit(request).get();
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(next.endpoints, first.endpoints);
+    service.stop();
+    EXPECT_EQ(service.counters().failed, 1u);
+    EXPECT_EQ(service.counters().completed, 2u);
+    EXPECT_EQ(service.budget().used(), 0u);
 }
 
 TEST(LoadPlannerService, PerTenantStatsCarryCacheCounters)

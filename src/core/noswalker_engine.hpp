@@ -134,62 +134,50 @@ class NosWalkerEngine {
         return run(app, total_walkers);
     }
 
-    /** Per-bucket emigrant consignment sink (overlapped shard
-     *  migration, DESIGN.md §11).  Invoked on the engine's scheduler
-     *  thread at deterministic flush points — after each processed
-     *  bucket's merge — with the emigrants accumulated since the last
-     *  flush, in outbox order.  Must not re-enter the engine. */
-    using EmigrantSink = std::function<void(std::vector<Record> &&)>;
-
-    /**
-     * Route shard-mode emigrants through @p sink incrementally instead
-     * of accumulating them all in the run_records out-vector; records
-     * still pending at quiescence stay in the out-vector (the caller's
-     * final flush).  Pass nullptr to restore barrier behaviour.  Only
-     * consulted in shard mode; never changes walk output — it only
-     * moves already-merged records out of the engine earlier.
-     */
-    void set_emigrant_sink(EmigrantSink sink)
-    {
-        emigrant_sink_ = std::move(sink);
-    }
+    /** Receives a shard round's emigrants (run_records), in outbox
+     *  order, on the engine's scheduler thread: after each processed
+     *  bucket's merge with those accumulated since the last flush
+     *  (tail = false), and once at quiescence with the rest (tail =
+     *  true).  Never called with an empty vector.  Must not re-enter
+     *  the engine. */
+    using EmigrantSink =
+        std::function<void(std::vector<Record> &&, bool tail)>;
 
     /**
      * Shard-mode entry (one migration round of shard::ShardedEngine):
      * execute exactly the pre-generated @p records, treating only
      * blocks in [@p first_block, @p end_block) as local.  A record
      * whose waiting vertex falls outside the local range is not
-     * stepped; it is appended to @p emigrants (with its live RNG
-     * stream) for the caller to route to the owning shard.
+     * stepped; it goes (with its live RNG stream) to @p sink for the
+     * caller to route to the owning shard.
      *
-     * Pre-sampling defaults off for the round: reservoir contents
-     * depend on refill timing, which varies with the shard count, and
-     * would break the cross-shard bit-identity contract (DESIGN.md
-     * §11).  config_.shard_presample re-enables it with shard-local
-     * reservoirs whose contents are a pure function of (seed, shard
-     * plan).  Per-walker streams are untouched by migration, so each
+     * Pre-sampling is off for the round: reservoir contents depend on
+     * refill timing, which varies with the shard count, and would
+     * break the cross-shard bit-identity contract (DESIGN.md §11).
+     * Per-walker streams are untouched by migration, so each
      * trajectory stays a pure function of (seed, walker id, graph).
      */
     engine::RunStats
     run_records(App &app, std::vector<Record> records, std::uint64_t seed,
                 std::uint32_t first_block, std::uint32_t end_block,
-                std::vector<Record> *emigrants)
+                const EmigrantSink &sink)
     {
-        if (emigrants == nullptr || first_block >= end_block ||
+        if (!sink || first_block >= end_block ||
             end_block > partition_->num_blocks()) {
             throw util::ConfigError(
-                "run_records: bad shard block range or null emigrants");
+                "run_records: bad shard block range or null sink");
         }
         shard_mode_ = true;
         owned_begin_ = first_block;
         owned_end_ = end_block;
-        emigrants_out_ = emigrants;
+        sink_ = &sink;
         seed_records_ = std::move(records);
         seed_override_ = seed;
         const std::uint64_t total = seed_records_.size();
         engine::RunStats out;
         try {
             out = run(app, total);
+            flush_emigrants(/*tail=*/true);
         } catch (...) {
             exit_shard_mode();
             throw;
@@ -243,7 +231,7 @@ class NosWalkerEngine {
                                     shared_cache_);
         storage::BlockBufferPool buffer_pool;
         storage::AsyncLoader loader(
-            reader, config_.loader_threads > 0 && !single_buffer_,
+            reader, config_.loader_threads > 0,
             std::max<std::size_t>(prefetch_slots_, 1), &buffer_pool);
         PrefetchPipeline pipeline(
             loader, reader, buffer_pool, prefetch_slots_, shared_cache_,
@@ -329,22 +317,20 @@ class NosWalkerEngine {
     };
 
     /**
-     * Hand the emigrants accumulated since the last flush to the sink
-     * (overlapped shard migration).  Scheduler thread only, after the
-     * merge barrier — the records are final and in outbox order.  A
-     * no-op without a sink (barrier mode): everything stays in the
-     * run_records out-vector for the caller's single post.
+     * Hand the emigrants accumulated since the last flush to the
+     * shard sink.  Scheduler thread only, after the merge barrier —
+     * the records are final and in outbox order.  Outside shard mode
+     * nothing ever emigrates, so this is a no-op there.
      */
     void
-    flush_emigrants()
+    flush_emigrants(bool tail = false)
     {
-        if (!emigrant_sink_ || emigrants_out_ == nullptr ||
-            emigrants_out_->empty()) {
+        if (emigrants_.empty()) {
             return;
         }
         std::vector<Record> out;
-        out.swap(*emigrants_out_);
-        emigrant_sink_(std::move(out));
+        out.swap(emigrants_);
+        (*sink_)(std::move(out), tail);
     }
 
     void
@@ -353,7 +339,8 @@ class NosWalkerEngine {
         shard_mode_ = false;
         owned_begin_ = 0;
         owned_end_ = 0;
-        emigrants_out_ = nullptr;
+        sink_ = nullptr;
+        emigrants_.clear();
         seed_records_.clear();
     }
 
@@ -372,12 +359,10 @@ class NosWalkerEngine {
         stats_.pipelined = true; // set false later in single-buffer mode
         run_seed_ = seed_override_.value_or(config_.seed);
         seed_override_.reset();
-        // Shard rounds pre-sample only when shard_presample opts in:
-        // reservoir contents vary with the shard count, so the default
-        // preserves cross-shard-count bit-identity (§11).
-        presample_enabled_ =
-            config_.presample &&
-            (!shard_mode_ || config_.shard_presample);
+        // Shard rounds never pre-sample: reservoir contents vary with
+        // the shard count, which would break cross-shard-count
+        // bit-identity (§11).
+        presample_enabled_ = config_.presample && !shard_mode_;
         // Domain-separated stream root for pre-sample fills so they
         // never collide with walker streams.
         presample_seed_ =
@@ -650,7 +635,7 @@ class NosWalkerEngine {
             // live stream) to the round's outbox.  The pool slot is
             // freed but the walker is *not* retired — the destination
             // shard continues it next round.
-            emigrants_out_->push_back(std::move(rec));
+            emigrants_.push_back(std::move(rec));
             pool_->retire_n(1);
             return;
         }
@@ -862,7 +847,7 @@ class NosWalkerEngine {
                 continue;
             }
             if (block == kDestEmigrant) {
-                emigrants_out_->push_back(std::move(records[i]));
+                emigrants_.push_back(std::move(records[i]));
                 continue;
             }
             pool_->park(block, records[i]);
@@ -956,9 +941,10 @@ class NosWalkerEngine {
     bool shard_mode_ = false;
     std::uint32_t owned_begin_ = 0;
     std::uint32_t owned_end_ = 0;
-    std::vector<Record> *emigrants_out_ = nullptr;
-    /** Per-bucket consignment sink (overlap mode; null = barrier). */
-    EmigrantSink emigrant_sink_;
+    /** The round's sink; valid only inside run_records. */
+    const EmigrantSink *sink_ = nullptr;
+    /** Emigrants merged since the last flush, in outbox order. */
+    std::vector<Record> emigrants_;
     /** Pre-routed records to admit instead of generating (shard mode). */
     std::vector<Record> seed_records_;
     /** config_.presample, forced off for shard rounds (reset()). */

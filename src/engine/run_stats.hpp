@@ -87,11 +87,12 @@ struct RunStats {
     /** Modeled seconds the engine was blocked waiting on block loads
      *  (deterministic pipeline-clock accounting, DESIGN.md §10). */
     double io_wait_seconds = 0.0;
-    /** Modeled seconds spent exchanging walker batches at shard round
-     *  barriers (DESIGN.md §11; overlapped by neither phase). */
+    /** Modeled exchange seconds of shard migration flushes that
+     *  stepping could not hide (DESIGN.md §11; overlapped by neither
+     *  phase). */
     double migration_wait_seconds = 0.0;
-    /** Modeled exchange seconds *hidden* behind stepping by overlapped
-     *  per-bucket migration flushes (shard_overlap; DESIGN.md §11).
+    /** Modeled exchange seconds *hidden* behind stepping by per-bucket
+     *  shard migration flushes (DESIGN.md §11).
      *  Informational: never added to modeled_seconds — it is the part
      *  of the wire cost stepping already covered. */
     double migration_overlap_seconds = 0.0;

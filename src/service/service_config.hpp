@@ -53,14 +53,6 @@ struct ServiceConfig {
     std::uint64_t block_bytes = 1ULL << 20;
 
     /**
-     * Loader thread switch per engine, as EngineConfig::loader_threads:
-     * 0 = every load on the engine's thread; nonzero (any value) = one
-     * loader thread for speculative loads, started only when the
-     * engine first speculates.
-     */
-    unsigned loader_threads = 1;
-
-    /**
      * Intra-block stepping threads (≥ 1).  All workers' engines share
      * one persistent util::ThreadPool sized step_threads − 1 (engines
      * serialize on it), so the service never oversubscribes the host
@@ -92,17 +84,6 @@ struct ServiceConfig {
      * footprint scales with the shard count.
      */
     unsigned num_shards = 1;
-
-    /**
-     * Overlapped shard migration (num_shards > 1 only; see
-     * EngineConfig::shard_overlap, DESIGN.md §11): emigrant
-     * consignments are flushed to the exchange as block buckets drain
-     * and staged while destination shards still step, so only the
-     * residual wire time is charged as migration wait.  Never changes
-     * request output — admission order is re-sequenced at the round
-     * boundary.
-     */
-    bool shard_overlap = true;
 
     /**
      * Over-budget policy: true queues requests until workers free

@@ -141,12 +141,10 @@ class BatchRunner {
         // cap is unused but kept consistent for validation/diagnostics.
         ec.memory_budget = config.memory_budget;
         ec.block_bytes = config.block_bytes;
-        ec.loader_threads = config.loader_threads;
         ec.max_walkers = config.max_walkers;
         ec.step_threads = config.step_threads;
         ec.prefetch_depth = config.prefetch_depth;
         ec.num_shards = config.num_shards;
-        ec.shard_overlap = config.shard_overlap;
         // Shared pre-sample reservoirs would make a request's output
         // depend on what else shares its batch, so service engines
         // draw every step from the walker's own stream.

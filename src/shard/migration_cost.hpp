@@ -41,20 +41,6 @@ struct MigrationCostModel {
      */
     double exchange_seconds(std::uint64_t messages, std::uint64_t batches,
                             unsigned peers) const;
-
-    /**
-     * Wire seconds of one flush event: @p messages walker messages in
-     * @p batches batches from a single shard.  Same formula as
-     * exchange_seconds — kept as a named entry point so overlapped
-     * per-flush accounting (DESIGN.md §11) and the barrier path price
-     * traffic identically event by event.
-     */
-    double
-    flush_seconds(std::uint64_t messages, std::uint64_t batches,
-                  unsigned peers) const
-    {
-        return exchange_seconds(messages, batches, peers);
-    }
 };
 
 } // namespace noswalker::shard

@@ -12,41 +12,35 @@
  * consignments (MigrationExchange) and become the next round's
  * inboxes.  The round ends when no shard holds a walker.
  *
- * With shard_overlap (the default), shards do not sit on their
- * emigrants until the barrier: the engine flushes each block bucket's
- * emigrants through an EmigrantSink as the bucket drains, the sink
- * posts them to the exchange tagged with a per-shard flush sequence,
- * and opportunistically stages already-posted consignments from other
- * shards while its own engine is still stepping.  The wire time of a
- * flush then overlaps the remainder of the round, and only the
- * residual the stepping could not hide is charged as
+ * Shards do not sit on their emigrants until the barrier: the engine
+ * hands each block bucket's emigrants to the shard's EmigrantSink as
+ * the bucket drains, and the rest once at quiescence (the tail).  The
+ * sink posts them to the exchange tagged with a per-shard flush
+ * sequence, and opportunistically stages already-posted consignments
+ * from other shards while its own engine is still stepping.  The wire
+ * time of a flush then overlaps the remainder of the round, and only
+ * the residual the stepping could not hide is charged as
  * migration_wait_seconds (the hidden part lands in
  * migration_overlap_seconds).  Staged immigrants are admitted at the
  * round boundary in (dst, src, flush-seq) order, which per (src,dst)
  * pair reconstructs the src shard's outbox order exactly — so the
- * walker set entering round r+1 is byte-identical to the hard-barrier
- * version (shard_overlap = false), and so is every trajectory.
+ * walker set entering round r+1 does not depend on which thread
+ * posted or staged first.
  *
  * Determinism: every walker carries its private SplitMix64 stream
  * (engine::Stepped) across migrations, streams are derived exactly as
  * the plain engine derives them, and pre-sampling — the one mechanism
- * whose output depends on load timing — is off for shard rounds
- * unless shard_presample opts into the deterministic shard-local
- * variant (then output is a pure function of (seed, shard plan)).  By
- * default a trajectory is a pure function of (seed, walker id, graph):
+ * whose output depends on load timing — is off for shard rounds.  A
+ * trajectory is a pure function of (seed, walker id, graph):
  * endpoints and visit counts are bit-identical across {1, 2, N}
- * shards, any step-thread count, barrier or overlapped migration, and
- * any shard→thread placement.
+ * shards, any step-thread count, and any shard→thread placement.
  *
  * Modeled time: shards run concurrently, so each round contributes the
  * *maximum* of the per-shard I/O / CPU / wait phases; raw counters
  * sum.  Exchanges are priced per flush event by the same
  * MigrationCostModel the KnightKing baseline uses; the k-th of a
  * shard's K flush events gets a hiding window proportional to the
- * round span left after it ((K-1-k)/K), tail flushes (posted at
- * quiescence) get none — which makes barrier mode, whose single post
- * is all tail, degenerate to charging the full exchange cost as wait,
- * exactly as before.
+ * round span left after it ((K-1-k)/K), and the tail flush gets none.
  */
 #pragma once
 
@@ -90,7 +84,7 @@ class ShardedEngine {
     using Record = engine::Stepped<WalkerT>;
     using Engine = core::NosWalkerEngine<App>;
 
-    /** Wire cost of barrier exchanges; shared with the KnightKing
+    /** Wire cost of migration flushes; shared with the KnightKing
      *  baseline via shard/migration_cost.hpp.  Adjust before run(). */
     MigrationCostModel cost_model;
 
@@ -210,42 +204,14 @@ class ShardedEngine {
 
         MigrationExchange<Record> exchange;
         std::vector<engine::RunStats> round_stats(n);
-        // Per-round, per-shard flush machinery.  events[s] and
-        // flush_seq[s] are touched only by shard s's pool thread during
-        // the round and read by the orchestrator after the fork-join
-        // barrier; staged_ collects consignments drained mid-round by
-        // any shard thread and needs the mutex.
+        // Per-round, per-shard flush log.  events[s] is touched only by
+        // shard s's pool thread during the round and read by the
+        // orchestrator after the fork-join barrier; staged collects
+        // consignments drained mid-round by any shard thread and needs
+        // the mutex.
         std::vector<std::vector<FlushEvent>> events(n);
-        std::vector<std::uint64_t> flush_seq(n, 0);
         std::vector<MigrationBatch<Record>> staged;
         std::mutex staged_mutex;
-        const bool overlap = config_.shard_overlap && n > 1;
-        if (overlap) {
-            for (unsigned s = 0; s < n; ++s) {
-                shards_[s].engine->set_emigrant_sink(
-                    [this, &app, &exchange, &events, &flush_seq, &staged,
-                     &staged_mutex, s](std::vector<Record> &&out) {
-                        const FlushEvent e = bucket_and_post(
-                            app, exchange, s, std::move(out),
-                            flush_seq[s]++, false);
-                        if (e.batches > 0) {
-                            events[s].push_back(e);
-                        }
-                        // Stage consignments other shards already
-                        // posted while this shard is still stepping.
-                        std::vector<MigrationBatch<Record>> drained =
-                            exchange.collect();
-                        if (!drained.empty()) {
-                            std::lock_guard<std::mutex> lock(
-                                staged_mutex);
-                            staged.insert(
-                                staged.end(),
-                                std::make_move_iterator(drained.begin()),
-                                std::make_move_iterator(drained.end()));
-                        }
-                    });
-            }
-        }
 
         const auto live = [&] {
             for (const std::vector<Record> &box : inbox) {
@@ -261,32 +227,43 @@ class ShardedEngine {
             for (engine::RunStats &rs : round_stats) {
                 rs = engine::RunStats{};
             }
-            for (unsigned s = 0; s < n; ++s) {
-                events[s].clear();
-                flush_seq[s] = 0;
+            for (std::vector<FlushEvent> &log : events) {
+                log.clear();
             }
             // Fork: each shard runs its engine to local quiescence,
-            // flushing emigrants through its sink along the way
-            // (overlap mode), and posts any residue as a tail flush.
-            // The pool's run() is the barrier.
+            // flushing emigrants through its sink after every bucket
+            // and once more, as the tail, at quiescence.  The pool's
+            // run() is the barrier.
             shard_pool_.run(n, [&](std::size_t s) {
                 if (inbox[s].empty()) {
                     return;
                 }
-                std::vector<Record> records = std::move(inbox[s]);
-                inbox[s].clear();
-                std::vector<Record> emigrants;
-                const ShardRange &range = plan_.shard(
-                    static_cast<unsigned>(s));
+                const auto src = static_cast<std::uint32_t>(s);
+                const typename Engine::EmigrantSink sink =
+                    [&, src](std::vector<Record> &&out, bool tail) {
+                        // A flush's sequence number is its index in
+                        // the shard's round log.
+                        events[src].push_back(bucket_and_post(
+                            app, exchange, src, std::move(out),
+                            events[src].size(), tail));
+                        // Stage consignments other shards already
+                        // posted while this shard is still stepping.
+                        std::vector<MigrationBatch<Record>> drained =
+                            exchange.collect();
+                        if (!drained.empty()) {
+                            std::lock_guard<std::mutex> lock(
+                                staged_mutex);
+                            staged.insert(
+                                staged.end(),
+                                std::make_move_iterator(drained.begin()),
+                                std::make_move_iterator(drained.end()));
+                        }
+                    };
+                const ShardRange &range = plan_.shard(src);
                 round_stats[s] = shards_[s].engine->run_records(
-                    app, std::move(records), seed, range.first_block,
-                    range.end_block, &emigrants);
-                const FlushEvent tail = bucket_and_post(
-                    app, exchange, static_cast<std::uint32_t>(s),
-                    std::move(emigrants), flush_seq[s]++, true);
-                if (tail.batches > 0) {
-                    events[s].push_back(tail);
-                }
+                    app, std::move(inbox[s]), seed, range.first_block,
+                    range.end_block, sink);
+                inbox[s].clear();
             });
             const double round_span =
                 aggregate_round(total, round_stats);
@@ -296,8 +273,7 @@ class ShardedEngine {
             // still in the exchange, restore the deterministic
             // admission order, and deliver.  Per (src,dst) pair the
             // seq-ascending concatenation is the src shard's outbox
-            // order, so the inboxes are byte-identical to the ones a
-            // single barrier post would have produced.
+            // order, so the inboxes never depend on thread timing.
             std::vector<MigrationBatch<Record>> batches =
                 exchange.collect();
             {
@@ -314,11 +290,6 @@ class ShardedEngine {
                 dst.insert(dst.end(),
                            std::make_move_iterator(batch.records.begin()),
                            std::make_move_iterator(batch.records.end()));
-            }
-        }
-        if (overlap) {
-            for (Shard &shard : shards_) {
-                shard.engine->set_emigrant_sink(nullptr);
             }
         }
         exchange.assert_conserved();
@@ -377,9 +348,9 @@ class ShardedEngine {
 
     /**
      * Bucket @p emigrants by destination shard (in outbox order, via
-     * ShardPlan::assign_walker) and post the non-empty batches tagged
-     * with flush sequence @p seq.  Runs on the shard's thread; returns
-     * the event for the caller's flush log.
+     * ShardPlan::assign_walker) and post the batches tagged with flush
+     * sequence @p seq.  Runs on the shard's thread; returns the event
+     * for the caller's flush log.
      */
     FlushEvent
     bucket_and_post(App &app, MigrationExchange<Record> &exchange,
@@ -388,9 +359,6 @@ class ShardedEngine {
     {
         FlushEvent event;
         event.tail = tail;
-        if (emigrants.empty()) {
-            return event;
-        }
         const unsigned n = plan_.num_shards();
         std::vector<std::vector<Record>> by_dst(n);
         for (Record &rec : emigrants) {
@@ -419,17 +387,16 @@ class ShardedEngine {
 
     /**
      * Price one round's flush events.  Each event costs
-     * flush_seconds(records, batches, n); the k-th (0-indexed) of a
+     * exchange_seconds(records, batches, n); the k-th (0-indexed) of a
      * shard's K events gets a hiding window of (K-1-k)/K of the round
      * span — flushes posted early in the round have nearly the whole
      * round of stepping left to hide behind, the last one has none —
-     * and tail events (posted at quiescence) get no window at all.
+     * and the tail event (posted at quiescence) gets no window at all.
      * The hidden portion min(cost, window) lands in
      * migration_overlap_seconds; only the residual is charged as
-     * migration_wait_seconds.  Barrier mode posts a single tail event
-     * per shard, so everything is residual and the charge equals the
-     * old full-cost barrier accounting (the model is linear in records
-     * and batches).
+     * migration_wait_seconds.  The model is linear in records and
+     * batches, so wait + overlap sums to the one-shot price of the
+     * round's traffic.
      */
     void
     charge_round_exchange(
@@ -443,7 +410,7 @@ class ShardedEngine {
                 const FlushEvent &e = shard_events[k];
                 total.migrations += e.records;
                 total.migration_batches += e.batches;
-                const double cost = cost_model.flush_seconds(
+                const double cost = cost_model.exchange_seconds(
                     e.records, e.batches, n);
                 const double window =
                     e.tail ? 0.0

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -198,9 +199,15 @@ TEST_F(ParallelStepTest, EmigrantOutboxOrderIsIndependentOfThreads)
         }
         core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
             *file_, *partition_, config(threads, /*presample=*/true));
+        // The outbox is the concatenation of every flush, tail last.
         std::vector<Record> emigrants;
         eng.run_records(app, std::move(records), kSeed, 0, end_block,
-                        &emigrants);
+                        [&](std::vector<Record> &&out, bool) {
+                            emigrants.insert(
+                                emigrants.end(),
+                                std::make_move_iterator(out.begin()),
+                                std::make_move_iterator(out.end()));
+                        });
         outboxes.push_back(std::move(emigrants));
     }
     ASSERT_GT(outboxes[0].size(), 1u);

@@ -17,14 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "apps/node2vec.hpp"
 #include "core/block_scheduler.hpp"
 #include "core/noswalker_engine.hpp"
 #include "core/prefetch_pipeline.hpp"
@@ -41,120 +39,12 @@
 #include "storage/shared_block_cache.hpp"
 #include "util/error.hpp"
 #include "util/memory_budget.hpp"
-#include "util/rng.hpp"
 
 namespace noswalker {
 namespace {
 
-/** First-order uniform walk recording endpoints + visit counts. */
-class ConcurrentRecordingWalk {
-  public:
-    using WalkerT = engine::Walker;
-
-    ConcurrentRecordingWalk(std::uint32_t length,
-                            graph::VertexId num_vertices,
-                            std::uint64_t num_walkers)
-        : endpoints(num_walkers, graph::kInvalidVertex),
-          visits(num_vertices), length_(length),
-          num_vertices_(num_vertices)
-    {
-    }
-
-    WalkerT
-    generate(std::uint64_t n)
-    {
-        util::SplitMix64 mix(n * 31 + 5);
-        return WalkerT{
-            n, static_cast<graph::VertexId>(mix.next() % num_vertices_),
-            0};
-    }
-
-    graph::VertexId
-    sample(const graph::VertexView &view, util::Rng &rng)
-    {
-        return view.sample_uniform(rng);
-    }
-
-    bool active(const WalkerT &w) const { return w.step < length_; }
-
-    bool
-    action(WalkerT &w, graph::VertexId next, util::Rng &)
-    {
-        w.location = next;
-        ++w.step;
-        endpoints[w.id] = next;
-        visits[next].fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-
-    std::vector<graph::VertexId> endpoints;
-    std::vector<std::atomic<std::uint32_t>> visits;
-
-  private:
-    std::uint32_t length_;
-    graph::VertexId num_vertices_;
-};
-
-static_assert(engine::RandomWalkApp<ConcurrentRecordingWalk>);
-
-/** Node2Vec wrapper recording the endpoint of every accepted move. */
-class RecordingNode2Vec {
-  public:
-    using WalkerT = apps::Node2Vec::WalkerT;
-
-    RecordingNode2Vec(double p, double q, std::uint32_t length,
-                      graph::VertexId num_vertices,
-                      std::uint32_t walks_per_vertex)
-        : inner_(p, q, length, num_vertices, walks_per_vertex)
-    {
-        endpoints.assign(inner_.total_walkers(), graph::kInvalidVertex);
-    }
-
-    std::uint64_t total_walkers() const { return inner_.total_walkers(); }
-
-    WalkerT generate(std::uint64_t n) { return inner_.generate(n); }
-
-    graph::VertexId
-    sample(const graph::VertexView &view, util::Rng &rng)
-    {
-        return inner_.sample(view, rng);
-    }
-
-    bool active(const WalkerT &w) const { return inner_.active(w); }
-
-    bool
-    action(WalkerT &w, graph::VertexId next, util::Rng &rng)
-    {
-        return inner_.action(w, next, rng);
-    }
-
-    bool has_candidate(const WalkerT &w) const
-    {
-        return inner_.has_candidate(w);
-    }
-
-    graph::VertexId candidate(const WalkerT &w) const
-    {
-        return inner_.candidate(w);
-    }
-
-    bool
-    rejection(WalkerT &w, const graph::VertexView &view, util::Rng &rng)
-    {
-        const bool accepted = inner_.rejection(w, view, rng);
-        if (accepted) {
-            endpoints[w.id] = w.location;
-        }
-        return accepted;
-    }
-
-    std::vector<graph::VertexId> endpoints;
-
-  private:
-    apps::Node2Vec inner_;
-};
-
-static_assert(engine::SecondOrderApp<RecordingNode2Vec>);
+using testing_support::ConcurrentRecordingWalk;
+using testing_support::RecordingNode2Vec;
 
 class PrefetchTest : public testing::Test {
   protected:

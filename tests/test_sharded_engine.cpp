@@ -7,139 +7,35 @@
  *
  * Also covered: migration conservation (every walker posted across a
  * shard boundary is delivered; none leak at close), budget slicing,
- * and the modeled multi-device speedup on an I/O-bound run.
+ * the modeled multi-device speedup on an I/O-bound run, the per-bucket
+ * migration flushes (wire time hidden behind stepping, conserved
+ * against the one-shot price), the exchange's deterministic admission
+ * order and per-pair conservation counters, locality-aware seeding,
+ * and pre-sampling staying out of shard rounds.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "apps/node2vec.hpp"
 #include "core/noswalker_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
 #include "recording_app.hpp"
+#include "shard/migration_exchange.hpp"
 #include "shard/shard_plan.hpp"
 #include "shard/sharded_engine.hpp"
 #include "storage/mem_device.hpp"
-#include "util/rng.hpp"
 
 namespace noswalker {
 namespace {
 
-/** First-order uniform walk recording endpoints + visit counts.
- *  Thread safe the way service apps are: per-walker endpoint slots,
- *  atomic visit counters — shards may step it concurrently. */
-class ShardRecordingWalk {
-  public:
-    using WalkerT = engine::Walker;
-
-    ShardRecordingWalk(std::uint32_t length, graph::VertexId num_vertices,
-                       std::uint64_t num_walkers)
-        : endpoints(num_walkers, graph::kInvalidVertex),
-          visits(num_vertices), length_(length),
-          num_vertices_(num_vertices)
-    {
-    }
-
-    WalkerT
-    generate(std::uint64_t n)
-    {
-        util::SplitMix64 mix(n * 31 + 5);
-        return WalkerT{
-            n, static_cast<graph::VertexId>(mix.next() % num_vertices_),
-            0};
-    }
-
-    graph::VertexId
-    sample(const graph::VertexView &view, util::Rng &rng)
-    {
-        return view.sample_uniform(rng);
-    }
-
-    bool active(const WalkerT &w) const { return w.step < length_; }
-
-    bool
-    action(WalkerT &w, graph::VertexId next, util::Rng &)
-    {
-        w.location = next;
-        ++w.step;
-        endpoints[w.id] = next;
-        visits[next].fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-
-    std::vector<graph::VertexId> endpoints;
-    std::vector<std::atomic<std::uint32_t>> visits;
-
-  private:
-    std::uint32_t length_;
-    graph::VertexId num_vertices_;
-};
-
-static_assert(engine::RandomWalkApp<ShardRecordingWalk>);
-
-/** Node2Vec wrapper recording the endpoint of every accepted move. */
-class ShardRecordingNode2Vec {
-  public:
-    using WalkerT = apps::Node2Vec::WalkerT;
-
-    ShardRecordingNode2Vec(double p, double q, std::uint32_t length,
-                           graph::VertexId num_vertices,
-                           std::uint32_t walks_per_vertex)
-        : inner_(p, q, length, num_vertices, walks_per_vertex)
-    {
-        endpoints.assign(inner_.total_walkers(), graph::kInvalidVertex);
-    }
-
-    std::uint64_t total_walkers() const { return inner_.total_walkers(); }
-
-    WalkerT generate(std::uint64_t n) { return inner_.generate(n); }
-
-    graph::VertexId
-    sample(const graph::VertexView &view, util::Rng &rng)
-    {
-        return inner_.sample(view, rng);
-    }
-
-    bool active(const WalkerT &w) const { return inner_.active(w); }
-
-    bool
-    action(WalkerT &w, graph::VertexId next, util::Rng &rng)
-    {
-        return inner_.action(w, next, rng);
-    }
-
-    bool has_candidate(const WalkerT &w) const
-    {
-        return inner_.has_candidate(w);
-    }
-
-    graph::VertexId candidate(const WalkerT &w) const
-    {
-        return inner_.candidate(w);
-    }
-
-    bool
-    rejection(WalkerT &w, const graph::VertexView &view, util::Rng &rng)
-    {
-        const bool accepted = inner_.rejection(w, view, rng);
-        if (accepted) {
-            endpoints[w.id] = w.location;
-        }
-        return accepted;
-    }
-
-    std::vector<graph::VertexId> endpoints;
-
-  private:
-    apps::Node2Vec inner_;
-};
-
-static_assert(engine::SecondOrderApp<ShardRecordingNode2Vec>);
+using testing_support::ConcurrentRecordingWalk;
+using testing_support::RecordingNode2Vec;
 
 class ShardedEngineTest : public testing::Test {
   protected:
@@ -203,9 +99,9 @@ TEST_F(ShardedEngineTest, BasicWalkBitIdenticalAcrossShardsAndThreads)
     std::vector<std::uint64_t> steps;
     for (const unsigned shards : {1u, 2u, 4u}) {
         for (const unsigned threads : {1u, 8u}) {
-            ShardRecordingWalk app(kLength, file_->num_vertices(),
+            ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
                                    kWalkers);
-            shard::ShardedEngine<ShardRecordingWalk> eng(
+            shard::ShardedEngine<ConcurrentRecordingWalk> eng(
                 *file_, *partition_, config(shards, threads));
             const auto stats = eng.run(app, kWalkers);
             endpoints.push_back(app.endpoints);
@@ -238,17 +134,17 @@ TEST_F(ShardedEngineTest, MatchesPlainEngineWithPresampleOff)
     constexpr std::uint64_t kWalkers = 400;
     constexpr std::uint32_t kLength = 16;
 
-    ShardRecordingWalk plain_app(kLength, file_->num_vertices(),
+    ConcurrentRecordingWalk plain_app(kLength, file_->num_vertices(),
                                  kWalkers);
     core::EngineConfig plain_cfg = config(1, 1);
     plain_cfg.presample = false;
-    core::NosWalkerEngine<ShardRecordingWalk> plain(*file_, *partition_,
+    core::NosWalkerEngine<ConcurrentRecordingWalk> plain(*file_, *partition_,
                                                     plain_cfg);
     plain.run(plain_app, kWalkers);
 
     for (const unsigned shards : {1u, 4u}) {
-        ShardRecordingWalk app(kLength, file_->num_vertices(), kWalkers);
-        shard::ShardedEngine<ShardRecordingWalk> eng(
+        ConcurrentRecordingWalk app(kLength, file_->num_vertices(), kWalkers);
+        shard::ShardedEngine<ConcurrentRecordingWalk> eng(
             *file_, *partition_, config(shards, 2));
         eng.run(app, kWalkers);
         EXPECT_EQ(app.endpoints, plain_app.endpoints)
@@ -263,9 +159,9 @@ TEST_F(ShardedEngineTest, Node2VecBitIdenticalAcrossShardsAndThreads)
     std::vector<std::uint64_t> trials;
     for (const unsigned shards : {1u, 2u, 4u}) {
         for (const unsigned threads : {1u, 8u}) {
-            ShardRecordingNode2Vec app(2.0, 0.5, 12,
+            RecordingNode2Vec app(2.0, 0.5, 12,
                                        file_->num_vertices(), 2);
-            shard::ShardedEngine<ShardRecordingNode2Vec> eng(
+            shard::ShardedEngine<RecordingNode2Vec> eng(
                 *file_, *partition_, config(shards, threads));
             const auto stats = eng.run(app, app.total_walkers());
             endpoints.push_back(app.endpoints);
@@ -284,8 +180,8 @@ TEST_F(ShardedEngineTest, MigrationConservationNoLeaksAtClose)
 {
     constexpr std::uint64_t kWalkers = 500;
     constexpr std::uint32_t kLength = 20;
-    ShardRecordingWalk app(kLength, file_->num_vertices(), kWalkers);
-    shard::ShardedEngine<ShardRecordingWalk> eng(*file_, *partition_,
+    ConcurrentRecordingWalk app(kLength, file_->num_vertices(), kWalkers);
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(*file_, *partition_,
                                                  config(4, 2));
     const auto stats = eng.run(app, kWalkers);
 
@@ -323,8 +219,8 @@ TEST_F(ShardedEngineTest, KernelCountersSumOverShards)
     // that left out the kernel counters, so a sharded run reported
     // kernel_cohorts = 0 while its shards stepped through the kernel.
     constexpr std::uint64_t kWalkers = 400;
-    ShardRecordingWalk app(16, file_->num_vertices(), kWalkers);
-    shard::ShardedEngine<ShardRecordingWalk> eng(*file_, *partition_,
+    ConcurrentRecordingWalk app(16, file_->num_vertices(), kWalkers);
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(*file_, *partition_,
                                                  config(2, 1));
     const auto stats = eng.run(app, kWalkers);
 
@@ -345,20 +241,20 @@ TEST_F(ShardedEngineTest, SlicedBudgetMatchesUnbudgetedRun)
     constexpr std::uint64_t kWalkers = 300;
     constexpr std::uint32_t kLength = 12;
 
-    ShardRecordingWalk free_app(kLength, file_->num_vertices(),
+    ConcurrentRecordingWalk free_app(kLength, file_->num_vertices(),
                                 kWalkers);
-    shard::ShardedEngine<ShardRecordingWalk> free_eng(
+    shard::ShardedEngine<ConcurrentRecordingWalk> free_eng(
         *file_, *partition_, config(2, 2));
     free_eng.run(free_app, kWalkers);
 
-    ShardRecordingWalk tight_app(kLength, file_->num_vertices(),
+    ConcurrentRecordingWalk tight_app(kLength, file_->num_vertices(),
                                  kWalkers);
     core::EngineConfig tight = config(2, 2);
     // Each shard gets a genuinely bounded 1/N slice that still clears
     // the per-engine floor.
     tight.memory_budget =
         2 * testing_support::tight_budget(*file_, *partition_);
-    shard::ShardedEngine<ShardRecordingWalk> tight_eng(
+    shard::ShardedEngine<ConcurrentRecordingWalk> tight_eng(
         *file_, *partition_, tight);
     const auto stats = tight_eng.run(tight_app, kWalkers);
 
@@ -372,9 +268,9 @@ TEST_F(ShardedEngineTest, RerunRepeatsAcrossPlacements)
     // Shard→thread placement inside the fork-join pool is dynamic;
     // repeated runs of one engine must still agree bit for bit.
     constexpr std::uint64_t kWalkers = 300;
-    ShardRecordingWalk a(10, file_->num_vertices(), kWalkers);
-    ShardRecordingWalk b(10, file_->num_vertices(), kWalkers);
-    shard::ShardedEngine<ShardRecordingWalk> eng(*file_, *partition_,
+    ConcurrentRecordingWalk a(10, file_->num_vertices(), kWalkers);
+    ConcurrentRecordingWalk b(10, file_->num_vertices(), kWalkers);
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(*file_, *partition_,
                                                  config(4, 2));
     eng.run(a, kWalkers);
     eng.run(b, kWalkers);
@@ -400,12 +296,12 @@ TEST_F(ShardedEngineTest, ModeledSpeedupWithPrivateDevices)
     std::vector<double> modeled;
     std::vector<graph::VertexId> reference;
     for (const unsigned shards : {1u, 4u}) {
-        ShardRecordingWalk app(kLength, slow_file.num_vertices(),
+        ConcurrentRecordingWalk app(kLength, slow_file.num_vertices(),
                                kWalkers);
         core::EngineConfig cfg = core::EngineConfig::full(
             0, slow_partition.max_block_bytes());
         cfg.num_shards = shards;
-        shard::ShardedEngine<ShardRecordingWalk> eng(
+        shard::ShardedEngine<ConcurrentRecordingWalk> eng(
             slow_file, slow_partition, cfg);
         const auto stats = eng.run(app, kWalkers);
         modeled.push_back(stats.modeled_seconds());
@@ -416,6 +312,166 @@ TEST_F(ShardedEngineTest, ModeledSpeedupWithPrivateDevices)
         }
     }
     EXPECT_LT(modeled[1], modeled[0]);
+}
+
+class MigrationOverlapTest : public ShardedEngineTest {};
+
+TEST_F(MigrationOverlapTest, OverlapHidesWaitOnSlowDevice)
+{
+    // I/O-bound regime: the round span is long, so per-bucket flushes
+    // have plenty of stepping to hide behind.
+    storage::SsdModel slow = storage::SsdModel::p4618();
+    slow.seq_bandwidth /= 2048.0;
+    slow.iops /= 2048.0;
+    storage::MemDevice slow_device(slow);
+    graph::GraphFile::write(graph_, slow_device);
+    graph::GraphFile slow_file(slow_device);
+    graph::BlockPartition slow_partition(
+        slow_file, slow_file.edge_region_bytes() / 8);
+
+    constexpr std::uint64_t kWalkers = 600;
+    constexpr std::uint32_t kLength = 16;
+    ConcurrentRecordingWalk app(kLength, slow_file.num_vertices(),
+                                kWalkers);
+    core::EngineConfig cfg = core::EngineConfig::full(
+        0, slow_partition.max_block_bytes());
+    cfg.num_shards = 4;
+    cfg.step_threads = 2;
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+        slow_file, slow_partition, cfg);
+    const engine::RunStats stats = eng.run(app, kWalkers);
+    EXPECT_GT(stats.migrations, 0u);
+
+    // The price of the run's whole traffic in one exchange.  Early
+    // flushes hide a visible portion of it, so the charged wait is
+    // strictly below it.
+    const double full = eng.cost_model.exchange_seconds(
+        stats.migrations, stats.migration_batches, eng.num_shards());
+    EXPECT_GT(stats.migration_overlap_seconds, 0.0);
+    EXPECT_LT(stats.migration_wait_seconds, full);
+    // The model is linear in records and batches, so the per-event
+    // charges (hidden + residual) sum to the one-shot price.
+    EXPECT_NEAR(stats.migration_wait_seconds +
+                    stats.migration_overlap_seconds,
+                full, 1e-9 * full);
+}
+
+TEST_F(MigrationOverlapTest, StagedAdmissionOrderIsDeterministic)
+{
+    // Post consignments in a scrambled arrival order (as concurrent
+    // shard threads would) and check the admission sort restores the
+    // (dst, src, seq) sequence — per (src,dst) pair, flush order.
+    shard::MigrationExchange<int> exchange;
+    using Batch = shard::MigrationBatch<int>;
+    std::vector<Batch> posted;
+    const auto mk = [](std::uint32_t src, std::uint32_t dst,
+                       std::uint64_t seq, std::vector<int> recs) {
+        Batch b;
+        b.src = src;
+        b.dst = dst;
+        b.seq = seq;
+        b.records = std::move(recs);
+        return b;
+    };
+    posted.push_back(mk(2, 0, 1, {20, 21}));
+    posted.push_back(mk(1, 1, 0, {10}));
+    posted.push_back(mk(2, 0, 0, {22}));
+    posted.push_back(mk(0, 1, 2, {1, 2}));
+    posted.push_back(mk(0, 1, 0, {3}));
+    exchange.post(std::move(posted));
+
+    std::vector<Batch> staged = exchange.collect();
+    std::sort(staged.begin(), staged.end(),
+              shard::MigrationExchange<int>::admission_order);
+
+    ASSERT_EQ(staged.size(), 5u);
+    // dst 0: src 2 in seq order 0, 1.
+    EXPECT_EQ(staged[0].records, (std::vector<int>{22}));
+    EXPECT_EQ(staged[1].records, (std::vector<int>{20, 21}));
+    // dst 1: src 0 (seq 0 then 2), then src 1.
+    EXPECT_EQ(staged[2].records, (std::vector<int>{3}));
+    EXPECT_EQ(staged[3].records, (std::vector<int>{1, 2}));
+    EXPECT_EQ(staged[4].records, (std::vector<int>{10}));
+
+    exchange.assert_conserved();
+}
+
+TEST_F(MigrationOverlapTest, PairwiseConservationCounters)
+{
+    // Direct exchange check: per-(src,dst) flows balance.
+    shard::MigrationExchange<int> exchange;
+    using Batch = shard::MigrationBatch<int>;
+    std::vector<Batch> first;
+    first.push_back({.src = 0, .dst = 1, .records = {1, 2, 3}});
+    first.push_back({.src = 0, .dst = 2, .records = {4}});
+    exchange.post(std::move(first));
+    std::vector<Batch> second;
+    second.push_back({.src = 2, .dst = 1, .records = {5, 6}});
+    exchange.post(std::move(second));
+    (void)exchange.collect();
+    exchange.assert_conserved();
+
+    const auto flows = exchange.pair_flows();
+    ASSERT_EQ(flows.size(), 3u);
+    const auto &f01 = flows.at({0u, 1u});
+    EXPECT_EQ(f01.posted_records, 3u);
+    EXPECT_EQ(f01.delivered_records, 3u);
+    EXPECT_EQ(f01.posted_batches, 1u);
+    EXPECT_EQ(f01.delivered_batches, 1u);
+    const auto &f21 = flows.at({2u, 1u});
+    EXPECT_EQ(f21.posted_records, 2u);
+    EXPECT_EQ(f21.delivered_records, 2u);
+
+    // End to end: a 4-shard run balances every pair too.
+    ConcurrentRecordingWalk app(20, file_->num_vertices(), 500);
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+        *file_, *partition_, config(4, 2));
+    const auto stats = eng.run(app, 500);
+    EXPECT_GT(stats.migrations, 0u);
+    const shard::ExchangeCounters &xc = eng.exchange_counters();
+    EXPECT_EQ(xc.posted_records, xc.delivered_records);
+    EXPECT_EQ(xc.posted_batches, xc.delivered_batches);
+    EXPECT_EQ(stats.migrations, xc.delivered_records);
+}
+
+TEST_F(MigrationOverlapTest, LocalitySeedingStartsWalkersOnOwnerShard)
+{
+    const shard::ShardPlan plan(*partition_, 4);
+    for (graph::VertexId v = 0; v < file_->num_vertices(); v += 7) {
+        EXPECT_EQ(plan.assign_walker(*partition_, v),
+                  plan.shard_of_block(partition_->block_of(v)));
+    }
+    // Documented fallback spreads by index, no locality promise.
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(plan.assign_walker_round_robin(i),
+                  i % plan.num_shards());
+    }
+
+    // Zero-length walkers retire where they were seeded: locality
+    // seeding means round 1 exists and nothing ever migrates.
+    ConcurrentRecordingWalk app(0, file_->num_vertices(), 400);
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+        *file_, *partition_, config(4, 2));
+    const auto stats = eng.run(app, 400);
+    EXPECT_EQ(stats.migrations, 0u);
+    EXPECT_EQ(stats.migration_wait_seconds, 0.0);
+    EXPECT_EQ(eng.rounds(), 1u);
+    EXPECT_EQ(stats.walkers, 400u);
+}
+
+class ShardPresampleTest : public ShardedEngineTest {};
+
+TEST_F(ShardPresampleTest, OffByDefaultInShardRounds)
+{
+    // The cross-shard-count bit-identity contract of num_shards keeps
+    // pre-sampling out of shard rounds: no step is served from a
+    // reservoir, and no reservoir is ever sized.
+    ConcurrentRecordingWalk app(16, file_->num_vertices(), 400);
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+        *file_, *partition_, config(2, 2));
+    const auto stats = eng.run(app, 400);
+    EXPECT_EQ(stats.presample_steps, 0u);
+    EXPECT_EQ(stats.presample_bytes_total, 0u);
 }
 
 } // namespace

@@ -70,18 +70,6 @@ class ShardPlan {
     unsigned assign_walker(const graph::BlockPartition &partition,
                            graph::VertexId vertex) const;
 
-    /**
-     * Documented fallback when no partition is at hand (e.g. synthetic
-     * load generators): round-robin by walker index.  Spreads load
-     * evenly but guarantees nothing about locality — most walkers
-     * migrate on their first step.
-     */
-    unsigned
-    assign_walker_round_robin(std::uint64_t walker_index) const
-    {
-        return static_cast<unsigned>(walker_index % ranges_.size());
-    }
-
   private:
     std::vector<ShardRange> ranges_;
     std::vector<std::uint32_t> first_blocks_; ///< per shard, for lookup

@@ -8,24 +8,20 @@
  * Execution proceeds in rounds.  Each round, every shard with waiting
  * walkers runs its engine to local quiescence: walkers whose next
  * vertex another shard owns are handed back as emigrants instead of
- * parking.  The emigrants are exchanged as batched per-(src,dst)
- * consignments (MigrationExchange) and become the next round's
- * inboxes.  The round ends when no shard holds a walker.
+ * parking.  The round ends at the fork-join barrier; the run ends when
+ * no shard holds a walker.
  *
  * Shards do not sit on their emigrants until the barrier: the engine
  * hands each block bucket's emigrants to the shard's EmigrantSink as
  * the bucket drains, and the rest once at quiescence (the tail).  The
- * sink posts them to the exchange tagged with a per-shard flush
- * sequence, and opportunistically stages already-posted consignments
- * from other shards while its own engine is still stepping.  The wire
- * time of a flush then overlaps the remainder of the round, and only
- * the residual the stepping could not hide is charged as
- * migration_wait_seconds (the hidden part lands in
- * migration_overlap_seconds).  Staged immigrants are admitted at the
- * round boundary in (dst, src, flush-seq) order, which per (src,dst)
- * pair reconstructs the src shard's outbox order exactly — so the
- * walker set entering round r+1 does not depend on which thread
- * posted or staged first.
+ * sink appends them, in flush order, to per-(src,dst) outboxes that
+ * only the src shard's thread touches during the round, and logs the
+ * flush.  The wire time of a flush then overlaps the remainder of the
+ * round, and only the residual the stepping could not hide is charged
+ * as migration_wait_seconds (the hidden part lands in
+ * migration_overlap_seconds).  After the barrier each destination's
+ * next-round inbox is its outboxes concatenated in src order, so the
+ * walker set entering round r+1 does not depend on thread timing.
  *
  * Determinism: every walker carries its private SplitMix64 stream
  * (engine::Stepped) across migrations, streams are derived exactly as
@@ -46,8 +42,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -59,14 +55,23 @@
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
 #include "shard/migration_cost.hpp"
-#include "shard/migration_exchange.hpp"
 #include "shard/shard_device.hpp"
 #include "shard/shard_plan.hpp"
+#include "util/error.hpp"
 #include "util/memory_budget.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace noswalker::shard {
+
+/** Conservation counters of a run's migration traffic: records and
+ *  batches flushed by the src shards, and admitted by the dst shards. */
+struct ExchangeCounters {
+    std::uint64_t posted_records = 0;
+    std::uint64_t posted_batches = 0;
+    std::uint64_t delivered_records = 0;
+    std::uint64_t delivered_batches = 0;
+};
 
 /**
  * Partitioned multi-engine walk executor with deterministic batched
@@ -153,7 +158,7 @@ class ShardedEngine {
     /** Migration rounds of the last run. */
     std::uint64_t rounds() const { return rounds_; }
 
-    /** Conservation counters of the last run's exchange. */
+    /** Conservation counters of the last run's migrations. */
     const ExchangeCounters &exchange_counters() const { return exchange_; }
 
     /** Per-shard lifetime totals of the last run (bench reporting). */
@@ -202,16 +207,13 @@ class ShardedEngine {
             inbox[owner].push_back(std::move(rec));
         }
 
-        MigrationExchange<Record> exchange;
         std::vector<engine::RunStats> round_stats(n);
-        // Per-round, per-shard flush log.  events[s] is touched only by
-        // shard s's pool thread during the round and read by the
-        // orchestrator after the fork-join barrier; staged collects
-        // consignments drained mid-round by any shard thread and needs
-        // the mutex.
+        // outbox[s][d] and events[s] are touched only by shard s's
+        // pool thread during the round and read by the orchestrator
+        // after the fork-join barrier, so no lock guards them.
+        std::vector<std::vector<Outbox>> outbox(
+            n, std::vector<Outbox>(n));
         std::vector<std::vector<FlushEvent>> events(n);
-        std::vector<MigrationBatch<Record>> staged;
-        std::mutex staged_mutex;
 
         const auto live = [&] {
             for (const std::vector<Record> &box : inbox) {
@@ -238,28 +240,13 @@ class ShardedEngine {
                 if (inbox[s].empty()) {
                     return;
                 }
-                const auto src = static_cast<std::uint32_t>(s);
                 const typename Engine::EmigrantSink sink =
-                    [&, src](std::vector<Record> &&out, bool tail) {
-                        // A flush's sequence number is its index in
-                        // the shard's round log.
-                        events[src].push_back(bucket_and_post(
-                            app, exchange, src, std::move(out),
-                            events[src].size(), tail));
-                        // Stage consignments other shards already
-                        // posted while this shard is still stepping.
-                        std::vector<MigrationBatch<Record>> drained =
-                            exchange.collect();
-                        if (!drained.empty()) {
-                            std::lock_guard<std::mutex> lock(
-                                staged_mutex);
-                            staged.insert(
-                                staged.end(),
-                                std::make_move_iterator(drained.begin()),
-                                std::make_move_iterator(drained.end()));
-                        }
+                    [&, s](std::vector<Record> &&out, bool tail) {
+                        events[s].push_back(route_flush(
+                            app, outbox[s], std::move(out), tail));
                     };
-                const ShardRange &range = plan_.shard(src);
+                const ShardRange &range = plan_.shard(
+                    static_cast<unsigned>(s));
                 round_stats[s] = shards_[s].engine->run_records(
                     app, std::move(inbox[s]), seed, range.first_block,
                     range.end_block, sink);
@@ -269,32 +256,26 @@ class ShardedEngine {
                 aggregate_round(total, round_stats);
             charge_round_exchange(total, events, round_span, n);
 
-            // Barrier passed: merge the staging pool with whatever is
-            // still in the exchange, restore the deterministic
-            // admission order, and deliver.  Per (src,dst) pair the
-            // seq-ascending concatenation is the src shard's outbox
-            // order, so the inboxes never depend on thread timing.
-            std::vector<MigrationBatch<Record>> batches =
-                exchange.collect();
-            {
-                std::lock_guard<std::mutex> lock(staged_mutex);
-                batches.insert(batches.end(),
-                               std::make_move_iterator(staged.begin()),
-                               std::make_move_iterator(staged.end()));
-                staged.clear();
-            }
-            std::sort(batches.begin(), batches.end(),
-                      MigrationExchange<Record>::admission_order);
-            for (MigrationBatch<Record> &batch : batches) {
-                std::vector<Record> &dst = inbox[batch.dst];
-                dst.insert(dst.end(),
-                           std::make_move_iterator(batch.records.begin()),
-                           std::make_move_iterator(batch.records.end()));
+            // Barrier passed: inbox[d] is outbox[0][d], outbox[1][d], …
+            // in src order, each in its src shard's flush order.
+            for (unsigned d = 0; d < n; ++d) {
+                for (unsigned s = 0; s < n; ++s) {
+                    Outbox &box = outbox[s][d];
+                    exchange_.delivered_records += box.records.size();
+                    exchange_.delivered_batches += box.batches;
+                    inbox[d].insert(
+                        inbox[d].end(),
+                        std::make_move_iterator(box.records.begin()),
+                        std::make_move_iterator(box.records.end()));
+                    box.records.clear();
+                    box.batches = 0;
+                }
             }
         }
-        exchange.assert_conserved();
-        exchange.close();
-        exchange_ = exchange.counters();
+        NOSWALKER_CHECK(exchange_.posted_records ==
+                            exchange_.delivered_records &&
+                        exchange_.posted_batches ==
+                            exchange_.delivered_batches);
 
         finalize_totals(total);
         total.wall_seconds = wall.seconds();
@@ -336,52 +317,51 @@ class ShardedEngine {
         }
     }
 
-    /** One emigrant flush posted to the exchange: the unit the cost
-     *  model prices and windows (DESIGN.md §11). */
+    /** One emigrant flush: the unit the cost model prices and windows
+     *  (DESIGN.md §11). */
     struct FlushEvent {
         std::uint64_t records = 0;
+        /** Distinct destination shards the flush sent to. */
         std::uint64_t batches = 0;
-        /** Posted at shard quiescence — nothing left to step behind, so
-         *  the event gets no hiding window. */
+        /** Flushed at shard quiescence — nothing left to step behind,
+         *  so the event gets no hiding window. */
         bool tail = false;
     };
 
+    /** One (src,dst) pair's emigrants of the current round. */
+    struct Outbox {
+        std::vector<Record> records;
+        /** Flushes that sent to this pair: its batches. */
+        std::uint64_t batches = 0;
+        /** Whether the flush being routed already sent here. */
+        bool in_flush = false;
+    };
+
     /**
-     * Bucket @p emigrants by destination shard (in outbox order, via
-     * ShardPlan::assign_walker) and post the batches tagged with flush
-     * sequence @p seq.  Runs on the shard's thread; returns the event
-     * for the caller's flush log.
+     * Append @p emigrants, in outbox order, to the src shard's
+     * per-destination @p outboxes (ShardPlan::assign_walker).  Runs on
+     * the src shard's thread; returns the event for its flush log.
      */
     FlushEvent
-    bucket_and_post(App &app, MigrationExchange<Record> &exchange,
-                    std::uint32_t src, std::vector<Record> emigrants,
-                    std::uint64_t seq, bool tail)
+    route_flush(App &app, std::vector<Outbox> &outboxes,
+                std::vector<Record> emigrants, bool tail)
     {
         FlushEvent event;
+        event.records = emigrants.size();
         event.tail = tail;
-        const unsigned n = plan_.num_shards();
-        std::vector<std::vector<Record>> by_dst(n);
         for (Record &rec : emigrants) {
-            const unsigned owner = plan_.assign_walker(
-                *partition_, engine::waiting_vertex(app, rec.w));
-            by_dst[owner].push_back(std::move(rec));
-        }
-        std::vector<MigrationBatch<Record>> out;
-        for (std::uint32_t d = 0; d < n; ++d) {
-            if (by_dst[d].empty()) {
-                continue;
+            Outbox &box = outboxes[plan_.assign_walker(
+                *partition_, engine::waiting_vertex(app, rec.w))];
+            if (!box.in_flush) {
+                box.in_flush = true;
+                ++box.batches;
+                ++event.batches;
             }
-            MigrationBatch<Record> batch;
-            batch.src = src;
-            batch.dst = d;
-            batch.round = rounds_;
-            batch.seq = seq;
-            event.records += by_dst[d].size();
-            batch.records = std::move(by_dst[d]);
-            out.push_back(std::move(batch));
+            box.records.push_back(std::move(rec));
         }
-        event.batches = out.size();
-        exchange.post(std::move(out));
+        for (Outbox &box : outboxes) {
+            box.in_flush = false;
+        }
         return event;
     }
 
@@ -410,6 +390,8 @@ class ShardedEngine {
                 const FlushEvent &e = shard_events[k];
                 total.migrations += e.records;
                 total.migration_batches += e.batches;
+                exchange_.posted_records += e.records;
+                exchange_.posted_batches += e.batches;
                 const double cost = cost_model.exchange_seconds(
                     e.records, e.batches, n);
                 const double window =

@@ -24,7 +24,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace noswalker::util {
 
@@ -132,53 +131,6 @@ class BlockingQueue {
     {
         std::unique_lock lock(mutex_);
         return take(lock);
-    }
-
-    /**
-     * Push every element of @p values under one lock acquisition,
-     * blocking while the batch does not fit (the batch is admitted
-     * whole, never interleaved with other producers' batches).
-     * @return false if the queue was closed (remaining values dropped);
-     *         elements pushed before the close stay in the queue.
-     */
-    bool
-    push_batch(std::vector<T> values)
-    {
-        std::unique_lock lock(mutex_);
-        not_full_.wait(lock, [&] {
-            return closed_ || capacity_ == 0 ||
-                   queue_.size() + values.size() <= capacity_;
-        });
-        if (closed_) {
-            return false;
-        }
-        for (T &value : values) {
-            queue_.push_back(std::move(value));
-        }
-        not_empty_.notify_all();
-        return true;
-    }
-
-    /**
-     * Drain every queued element under one lock acquisition, without
-     * blocking (an empty vector when there is nothing queued — check
-     * closed() to tell "nothing yet" from "never again").  The drain
-     * is atomic: concurrent consumers never split a producer's batch.
-     */
-    std::vector<T>
-    pop_all()
-    {
-        std::vector<T> out;
-        std::lock_guard lock(mutex_);
-        out.reserve(queue_.size());
-        while (!queue_.empty()) {
-            out.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-        }
-        if (!out.empty()) {
-            not_full_.notify_all();
-        }
-        return out;
     }
 
     /** Close the queue: producers fail, consumers drain then get nullopt. */

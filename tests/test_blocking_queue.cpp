@@ -147,109 +147,5 @@ TEST(BlockingQueue, CloseWakesProducersBlockedOnFullQueue)
     EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(BlockingQueue, PushBatchKeepsBatchContiguousAcrossProducers)
-{
-    // Two producers push interleaved batches; each batch must land as
-    // one contiguous run (push_batch holds the lock for the batch).
-    BlockingQueue<int> q(0);
-    constexpr int kBatches = 50;
-    constexpr int kPerBatch = 20;
-    auto producer = [&](int base) {
-        for (int b = 0; b < kBatches; ++b) {
-            std::vector<int> batch;
-            for (int i = 0; i < kPerBatch; ++i) {
-                batch.push_back(base + b * kPerBatch + i);
-            }
-            ASSERT_TRUE(q.push_batch(std::move(batch)));
-        }
-    };
-    std::thread p1(producer, 0);
-    std::thread p2(producer, 1'000'000);
-    p1.join();
-    p2.join();
-
-    const std::vector<int> all = q.pop_all();
-    ASSERT_EQ(all.size(),
-              static_cast<std::size_t>(2 * kBatches * kPerBatch));
-    for (std::size_t i = 0; i < all.size(); i += kPerBatch) {
-        for (int j = 1; j < kPerBatch; ++j) {
-            EXPECT_EQ(all[i + j], all[i] + j) << "split batch at " << i;
-        }
-    }
-    EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BlockingQueue, PushBatchBlocksUntilTheWholeBatchFits)
-{
-    BlockingQueue<int> q(4);
-    ASSERT_TRUE(q.push(1));
-    ASSERT_TRUE(q.push(2));
-
-    std::atomic<bool> pushed{false};
-    std::thread producer([&] {
-        ASSERT_TRUE(q.push_batch({10, 11, 12}));
-        pushed.store(true);
-    });
-    // 3 elements cannot join 2 under a cap of 4 — the producer waits.
-    std::this_thread::sleep_for(10ms);
-    EXPECT_FALSE(pushed.load());
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    producer.join();
-    EXPECT_TRUE(pushed.load());
-    EXPECT_EQ(q.pop_all(), (std::vector<int>{10, 11, 12}));
-}
-
-TEST(BlockingQueue, PushBatchFailsAfterCloseAndWakesBlockedBatch)
-{
-    BlockingQueue<int> q(2);
-    ASSERT_TRUE(q.push(7));
-    EXPECT_FALSE(q.closed());
-
-    std::atomic<int> failures{0};
-    std::thread producer([&] {
-        // Needs 2 free slots; only 1 exists, so it blocks until close.
-        if (!q.push_batch({8, 9})) {
-            failures.fetch_add(1, std::memory_order_relaxed);
-        }
-    });
-    std::this_thread::sleep_for(10ms);
-    q.close();
-    producer.join();
-    EXPECT_EQ(failures.load(), 1);
-
-    // Closed queues fail immediately, without blocking.
-    EXPECT_FALSE(q.push_batch({1, 2, 3}));
-
-    // Elements accepted before the close still drain.
-    EXPECT_EQ(q.pop_all(), (std::vector<int>{7}));
-    EXPECT_TRUE(q.pop_all().empty());
-    EXPECT_TRUE(q.closed());
-}
-
-TEST(BlockingQueue, PopAllDrainsEverythingInFifoOrderAndUnblocks)
-{
-    BlockingQueue<int> q(4);
-    ASSERT_TRUE(q.push_batch({1, 2, 3, 4}));
-
-    std::atomic<bool> pushed{false};
-    std::thread producer([&] {
-        ASSERT_TRUE(q.push(5));
-        pushed.store(true);
-    });
-    std::this_thread::sleep_for(10ms);
-    EXPECT_FALSE(pushed.load()); // full: the producer is parked
-
-    // One drain takes everything and wakes the blocked producer.
-    EXPECT_EQ(q.pop_all(), (std::vector<int>{1, 2, 3, 4}));
-    producer.join();
-    EXPECT_TRUE(pushed.load());
-    EXPECT_EQ(q.pop_all(), (std::vector<int>{5}));
-
-    // Empty open queue: pop_all returns empty without blocking.
-    EXPECT_TRUE(q.pop_all().empty());
-    EXPECT_FALSE(q.closed());
-}
-
 } // namespace
 } // namespace noswalker::util

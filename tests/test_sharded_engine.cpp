@@ -9,13 +9,12 @@
  * shard boundary is delivered; none leak at close), budget slicing,
  * the modeled multi-device speedup on an I/O-bound run, the per-bucket
  * migration flushes (wire time hidden behind stepping, conserved
- * against the one-shot price), the exchange's deterministic admission
- * order and per-pair conservation counters, locality-aware seeding,
- * and pre-sampling staying out of shard rounds.
+ * against the one-shot price), migration traffic repeating across
+ * runs and step-thread counts, locality-aware seeding, and
+ * pre-sampling staying out of shard rounds.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -26,7 +25,6 @@
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
 #include "recording_app.hpp"
-#include "shard/migration_exchange.hpp"
 #include "shard/shard_plan.hpp"
 #include "shard/sharded_engine.hpp"
 #include "storage/mem_device.hpp"
@@ -266,15 +264,45 @@ TEST_F(ShardedEngineTest, SlicedBudgetMatchesUnbudgetedRun)
 TEST_F(ShardedEngineTest, RerunRepeatsAcrossPlacements)
 {
     // Shard→thread placement inside the fork-join pool is dynamic;
-    // repeated runs of one engine must still agree bit for bit.
+    // repeated runs of one engine must still agree bit for bit, at any
+    // step-thread count.  Trajectories do not depend on inbox order,
+    // so the traffic pins it.  An uncapped walker pool admits a whole
+    // inbox at once, and its counters follow the walker set alone; a
+    // capped pool admits in inbox order, so which walkers share a
+    // bucket, and hence migration_batches, follow the admission order.
     constexpr std::uint64_t kWalkers = 300;
-    ConcurrentRecordingWalk a(10, file_->num_vertices(), kWalkers);
-    ConcurrentRecordingWalk b(10, file_->num_vertices(), kWalkers);
-    shard::ShardedEngine<ConcurrentRecordingWalk> eng(*file_, *partition_,
-                                                 config(4, 2));
-    eng.run(a, kWalkers);
-    eng.run(b, kWalkers);
-    EXPECT_EQ(a.endpoints, b.endpoints);
+    for (const std::uint64_t cap : {std::uint64_t{0}, std::uint64_t{16}}) {
+        std::vector<graph::VertexId> endpoints;
+        std::uint64_t rounds = 0;
+        std::uint64_t migrations = 0;
+        std::uint64_t batches = 0;
+        for (const unsigned threads : {1u, 8u}) {
+            core::EngineConfig cfg = config(4, threads);
+            cfg.max_walkers = cap;
+            shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+                *file_, *partition_, cfg);
+            for (int rep = 0; rep < 3; ++rep) {
+                ConcurrentRecordingWalk app(10, file_->num_vertices(),
+                                            kWalkers);
+                const auto stats = eng.run(app, kWalkers);
+                if (endpoints.empty()) {
+                    endpoints = app.endpoints;
+                    rounds = eng.rounds();
+                    migrations = stats.migrations;
+                    batches = stats.migration_batches;
+                    EXPECT_GT(batches, 0u);
+                    continue;
+                }
+                SCOPED_TRACE(testing::Message()
+                             << "cap " << cap << " threads " << threads
+                             << " run " << rep);
+                EXPECT_EQ(app.endpoints, endpoints);
+                EXPECT_EQ(eng.rounds(), rounds);
+                EXPECT_EQ(stats.migrations, migrations);
+                EXPECT_EQ(stats.migration_batches, batches);
+            }
+        }
+    }
 }
 
 TEST_F(ShardedEngineTest, ModeledSpeedupWithPrivateDevices)
@@ -356,95 +384,12 @@ TEST_F(MigrationOverlapTest, OverlapHidesWaitOnSlowDevice)
                 full, 1e-9 * full);
 }
 
-TEST_F(MigrationOverlapTest, StagedAdmissionOrderIsDeterministic)
-{
-    // Post consignments in a scrambled arrival order (as concurrent
-    // shard threads would) and check the admission sort restores the
-    // (dst, src, seq) sequence — per (src,dst) pair, flush order.
-    shard::MigrationExchange<int> exchange;
-    using Batch = shard::MigrationBatch<int>;
-    std::vector<Batch> posted;
-    const auto mk = [](std::uint32_t src, std::uint32_t dst,
-                       std::uint64_t seq, std::vector<int> recs) {
-        Batch b;
-        b.src = src;
-        b.dst = dst;
-        b.seq = seq;
-        b.records = std::move(recs);
-        return b;
-    };
-    posted.push_back(mk(2, 0, 1, {20, 21}));
-    posted.push_back(mk(1, 1, 0, {10}));
-    posted.push_back(mk(2, 0, 0, {22}));
-    posted.push_back(mk(0, 1, 2, {1, 2}));
-    posted.push_back(mk(0, 1, 0, {3}));
-    exchange.post(std::move(posted));
-
-    std::vector<Batch> staged = exchange.collect();
-    std::sort(staged.begin(), staged.end(),
-              shard::MigrationExchange<int>::admission_order);
-
-    ASSERT_EQ(staged.size(), 5u);
-    // dst 0: src 2 in seq order 0, 1.
-    EXPECT_EQ(staged[0].records, (std::vector<int>{22}));
-    EXPECT_EQ(staged[1].records, (std::vector<int>{20, 21}));
-    // dst 1: src 0 (seq 0 then 2), then src 1.
-    EXPECT_EQ(staged[2].records, (std::vector<int>{3}));
-    EXPECT_EQ(staged[3].records, (std::vector<int>{1, 2}));
-    EXPECT_EQ(staged[4].records, (std::vector<int>{10}));
-
-    exchange.assert_conserved();
-}
-
-TEST_F(MigrationOverlapTest, PairwiseConservationCounters)
-{
-    // Direct exchange check: per-(src,dst) flows balance.
-    shard::MigrationExchange<int> exchange;
-    using Batch = shard::MigrationBatch<int>;
-    std::vector<Batch> first;
-    first.push_back({.src = 0, .dst = 1, .records = {1, 2, 3}});
-    first.push_back({.src = 0, .dst = 2, .records = {4}});
-    exchange.post(std::move(first));
-    std::vector<Batch> second;
-    second.push_back({.src = 2, .dst = 1, .records = {5, 6}});
-    exchange.post(std::move(second));
-    (void)exchange.collect();
-    exchange.assert_conserved();
-
-    const auto flows = exchange.pair_flows();
-    ASSERT_EQ(flows.size(), 3u);
-    const auto &f01 = flows.at({0u, 1u});
-    EXPECT_EQ(f01.posted_records, 3u);
-    EXPECT_EQ(f01.delivered_records, 3u);
-    EXPECT_EQ(f01.posted_batches, 1u);
-    EXPECT_EQ(f01.delivered_batches, 1u);
-    const auto &f21 = flows.at({2u, 1u});
-    EXPECT_EQ(f21.posted_records, 2u);
-    EXPECT_EQ(f21.delivered_records, 2u);
-
-    // End to end: a 4-shard run balances every pair too.
-    ConcurrentRecordingWalk app(20, file_->num_vertices(), 500);
-    shard::ShardedEngine<ConcurrentRecordingWalk> eng(
-        *file_, *partition_, config(4, 2));
-    const auto stats = eng.run(app, 500);
-    EXPECT_GT(stats.migrations, 0u);
-    const shard::ExchangeCounters &xc = eng.exchange_counters();
-    EXPECT_EQ(xc.posted_records, xc.delivered_records);
-    EXPECT_EQ(xc.posted_batches, xc.delivered_batches);
-    EXPECT_EQ(stats.migrations, xc.delivered_records);
-}
-
 TEST_F(MigrationOverlapTest, LocalitySeedingStartsWalkersOnOwnerShard)
 {
     const shard::ShardPlan plan(*partition_, 4);
     for (graph::VertexId v = 0; v < file_->num_vertices(); v += 7) {
         EXPECT_EQ(plan.assign_walker(*partition_, v),
                   plan.shard_of_block(partition_->block_of(v)));
-    }
-    // Documented fallback spreads by index, no locality promise.
-    for (std::uint64_t i = 0; i < 16; ++i) {
-        EXPECT_EQ(plan.assign_walker_round_robin(i),
-                  i % plan.num_shards());
     }
 
     // Zero-length walkers retire where they were seeded: locality

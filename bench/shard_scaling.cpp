@@ -17,8 +17,10 @@
  *
  * Output: one table row and one --json record per (workload, shard
  * count), with modeled seconds, rounds, migration counters, the
- * per-shard p99 modeled seconds, and speedup vs the matching 1-shard
- * row.
+ * per-shard p99 modeled seconds, the round balance, and speedup vs
+ * the matching 1-shard row.  The balance is Σ shard spans / (n × Σ
+ * per-round max span) over ShardedEngine::round_log(): 1.0 means no
+ * shard ever waited at a barrier, 1/n means the shards took turns.
  */
 #include <algorithm>
 #include <cmath>
@@ -50,6 +52,23 @@ p99(std::vector<double> samples)
     return samples[std::min(idx, samples.size() - 1)];
 }
 
+/** Σ shard spans / (n × Σ per-round max span); 1.0 when no round ran. */
+double
+round_balance(const std::vector<std::vector<shard::ShardRound>> &log)
+{
+    double spans = 0.0;
+    double capacity = 0.0;
+    for (const std::vector<shard::ShardRound> &round : log) {
+        double longest = 0.0;
+        for (const shard::ShardRound &s : round) {
+            spans += s.span;
+            longest = std::max(longest, s.span);
+        }
+        capacity += longest * static_cast<double>(round.size());
+    }
+    return capacity > 0.0 ? spans / capacity : 1.0;
+}
+
 template <typename App>
 void
 run_workload(const char *workload, App &app, std::uint64_t walkers,
@@ -78,6 +97,7 @@ run_workload(const char *workload, App &app, std::uint64_t walkers,
             shard_seconds.push_back(s.modeled_seconds());
         }
         const double shard_p99 = p99(std::move(shard_seconds));
+        const double balance = round_balance(engine.round_log());
 
         bench::print_table_row(
             {workload, std::to_string(engine.num_shards()),
@@ -87,7 +107,8 @@ run_workload(const char *workload, App &app, std::uint64_t walkers,
              bench::fmt_count(stats.migrations),
              bench::fmt_double(stats.migration_wait_seconds, 4),
              bench::fmt_double(stats.migration_overlap_seconds, 4),
-             bench::fmt_double(shard_p99, 4)});
+             bench::fmt_double(shard_p99, 4),
+             bench::fmt_double(balance, 2)});
 
         bench::JsonRecord r;
         r.engine = stats.engine;
@@ -119,6 +140,7 @@ run_workload(const char *workload, App &app, std::uint64_t walkers,
                               stats.migration_overlap_seconds);
         r.extras.emplace_back("shard_p99_modeled_seconds",
                               shard_p99);
+        r.extras.emplace_back("round_balance", balance);
         r.extras.emplace_back("speedup_vs_one_shard", speedup);
         json.add(std::move(r));
     }
@@ -161,7 +183,8 @@ main(int argc, char **argv)
     bench::print_table_header(
         "Sharded NosWalker, K30', slowed devices",
         {"workload", "shards", "rounds", "time(s)", "speedup",
-         "migrations", "migr wait(s)", "migr ovl(s)", "shard p99(s)"});
+         "migrations", "migr wait(s)", "migr ovl(s)", "shard p99(s)",
+         "balance"});
 
     apps::BasicRandomWalk basic(length, v);
     run_workload("basic", basic, walkers, file, partition,

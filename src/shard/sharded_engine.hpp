@@ -23,6 +23,14 @@
  * next-round inbox is its outboxes concatenated in src order, so the
  * walker set entering round r+1 does not depend on thread timing.
  *
+ * Wave balancing: with two shards a live walker changes shard at every
+ * barrier, so the walkers seeded on each shard travel as two fixed
+ * waves that take turns on the shards.  A dense two-shard run (at
+ * least as many walkers as vertices) therefore admits at most ⌈W/2⌉
+ * of a shard's seeded walkers in round 1; the excess heads that
+ * shard's round-2 inbox, i.e. joins the other wave, so both waves are
+ * equal from then on (DESIGN.md §11).
+ *
  * Determinism: every walker carries its private SplitMix64 stream
  * (engine::Stepped) across migrations, streams are derived exactly as
  * the plain engine derives them, and pre-sampling — the one mechanism
@@ -33,10 +41,12 @@
  *
  * Modeled time: shards run concurrently, so each round contributes the
  * *maximum* of the per-shard I/O / CPU / wait phases; raw counters
- * sum.  Exchanges are priced per flush event by the same
- * MigrationCostModel the KnightKing baseline uses; the k-th of a
- * shard's K flush events gets a hiding window proportional to the
- * round span left after it ((K-1-k)/K), and the tail flush gets none.
+ * sum.  round_log() keeps each shard's admissions and span per round,
+ * which shows how long a shard waited at each barrier.  Exchanges are
+ * priced per flush event by the same MigrationCostModel the KnightKing
+ * baseline uses; the k-th of a shard's K flush events gets a hiding
+ * window proportional to the round span left after it ((K-1-k)/K),
+ * and the tail flush gets none.
  */
 #pragma once
 
@@ -71,6 +81,16 @@ struct ExchangeCounters {
     std::uint64_t posted_batches = 0;
     std::uint64_t delivered_records = 0;
     std::uint64_t delivered_batches = 0;
+};
+
+/** One shard's part of one round (ShardedEngine::round_log). */
+struct ShardRound {
+    /** Walkers in the shard's inbox when the round began. */
+    std::uint64_t admitted = 0;
+    /** Modeled seconds the shard's stepping occupied:
+     *  max(io / eff, cpu) + io_wait.  The round lasts as long as its
+     *  largest span; each other shard idles for the difference. */
+    double span = 0.0;
 };
 
 /**
@@ -156,7 +176,14 @@ class ShardedEngine {
     const ShardPlan &plan() const { return plan_; }
 
     /** Migration rounds of the last run. */
-    std::uint64_t rounds() const { return rounds_; }
+    std::uint64_t rounds() const { return round_log_.size(); }
+
+    /** The last run's rounds in order, each with one entry per shard. */
+    const std::vector<std::vector<ShardRound>> &
+    round_log() const
+    {
+        return round_log_;
+    }
 
     /** Conservation counters of the last run's migrations. */
     const ExchangeCounters &exchange_counters() const { return exchange_; }
@@ -184,14 +211,15 @@ class ShardedEngine {
     {
         util::Timer wall;
         const unsigned n = plan_.num_shards();
-        rounds_ = 0;
+        round_log_.clear();
         exchange_ = ExchangeCounters{};
-        shard_totals_.assign(n, engine::RunStats{});
 
         engine::RunStats total;
         total.engine = "ShardedNosWalker";
         total.pipelined = true;
         total.io_efficiency = core::kAsyncIoEfficiency;
+        // Each shard's total is priced like the run's.
+        shard_totals_.assign(n, total);
 
         // Generate and route every walker up front: the router needs
         // each start vertex, and the record (walker + stream) must be
@@ -205,6 +233,24 @@ class ShardedEngine {
             const unsigned owner = plan_.assign_walker(
                 *partition_, engine::waiting_vertex(app, rec.w));
             inbox[owner].push_back(std::move(rec));
+        }
+        // Two-shard wave balancing (file comment): a dense run holds a
+        // shard's seeded walkers beyond ⌈W/2⌉ back to head its round-2
+        // inbox.  Sparse runs (a service batch) seed few blocks, and
+        // splitting them drops both shards into fine mode; with three
+        // or more shards emigrants mix the waves anyway.
+        std::vector<std::vector<Record>> deferred(n);
+        if (n == 2 && total_walkers >= file_->num_vertices()) {
+            const std::uint64_t cap = (total_walkers + 1) / 2;
+            for (unsigned s = 0; s < n; ++s) {
+                if (inbox[s].size() > cap) {
+                    deferred[s].assign(
+                        std::make_move_iterator(inbox[s].begin() + cap),
+                        std::make_move_iterator(inbox[s].end()));
+                    inbox[s].erase(inbox[s].begin() + cap,
+                                   inbox[s].end());
+                }
+            }
         }
 
         std::vector<engine::RunStats> round_stats(n);
@@ -225,9 +271,10 @@ class ShardedEngine {
         };
 
         while (live()) {
-            ++rounds_;
-            for (engine::RunStats &rs : round_stats) {
-                rs = engine::RunStats{};
+            std::vector<ShardRound> &this_round = round_log_.emplace_back(n);
+            for (unsigned s = 0; s < n; ++s) {
+                round_stats[s] = engine::RunStats{};
+                this_round[s].admitted = inbox[s].size();
             }
             for (std::vector<FlushEvent> &log : events) {
                 log.clear();
@@ -253,12 +300,15 @@ class ShardedEngine {
                 inbox[s].clear();
             });
             const double round_span =
-                aggregate_round(total, round_stats);
+                aggregate_round(total, round_stats, this_round);
             charge_round_exchange(total, events, round_span, n);
 
-            // Barrier passed: inbox[d] is outbox[0][d], outbox[1][d], …
-            // in src order, each in its src shard's flush order.
+            // Barrier passed: inbox[d] is its deferred seeds (round 1
+            // only), then outbox[0][d], outbox[1][d], … in src order,
+            // each in its src shard's flush order.  Every inbox was
+            // drained by its round, so the swap leaves deferred empty.
             for (unsigned d = 0; d < n; ++d) {
+                inbox[d].swap(deferred[d]);
                 for (unsigned s = 0; s < n; ++s) {
                     Outbox &box = outbox[s][d];
                     exchange_.delivered_records += box.records.size();
@@ -412,25 +462,33 @@ class ShardedEngine {
      * concurrently) and the maxima sum across rounds.  Returns the
      * round span — the modeled seconds the round's stepping occupies,
      * max(io/eff, cpu) + wait, i.e. the budget overlapped flushes can
-     * hide behind.
+     * hide behind.  Each shard's own span goes to @p this_round.
      */
     double
     aggregate_round(engine::RunStats &total,
-                    const std::vector<engine::RunStats> &round_stats)
+                    const std::vector<engine::RunStats> &round_stats,
+                    std::vector<ShardRound> &this_round)
     {
         double cpu = 0.0;
         double io = 0.0;
         double wait = 0.0;
-        for (const engine::RunStats &s : round_stats) {
-            cpu = std::max(cpu, s.cpu_seconds);
-            io = std::max(io, s.io_busy_seconds);
-            wait = std::max(wait, s.io_wait_seconds);
-            // Counters fold through operator+=; the phases join as
-            // maxima below, and the sharded record keeps its own label
-            // and I/O efficiency (an idle shard reports the defaults).
-            engine::RunStats counters = s;
+        for (std::size_t s = 0; s < round_stats.size(); ++s) {
+            // The sharded records keep their own label and I/O
+            // efficiency (an idle shard reports the defaults).
+            engine::RunStats counters = round_stats[s];
             counters.engine.clear();
             counters.io_efficiency = total.io_efficiency;
+            shard_totals_[s] += counters;
+            this_round[s].span =
+                std::max(counters.io_busy_seconds /
+                             core::kAsyncIoEfficiency,
+                         counters.cpu_seconds) +
+                counters.io_wait_seconds;
+            cpu = std::max(cpu, counters.cpu_seconds);
+            io = std::max(io, counters.io_busy_seconds);
+            wait = std::max(wait, counters.io_wait_seconds);
+            // Counters fold through operator+=; the phases join as
+            // maxima below.
             counters.cpu_seconds = 0.0;
             counters.io_busy_seconds = 0.0;
             counters.io_wait_seconds = 0.0;
@@ -439,9 +497,6 @@ class ShardedEngine {
         total.cpu_seconds += cpu;
         total.io_busy_seconds += io;
         total.io_wait_seconds += wait;
-        for (std::size_t s = 0; s < round_stats.size(); ++s) {
-            shard_totals_[s] += round_stats[s];
-        }
         return std::max(io / core::kAsyncIoEfficiency, cpu) + wait;
     }
 
@@ -471,7 +526,7 @@ class ShardedEngine {
     std::vector<Shard> shards_;
     util::MemoryBudget *shared_budget_ = nullptr;
 
-    std::uint64_t rounds_ = 0;
+    std::vector<std::vector<ShardRound>> round_log_;
     ExchangeCounters exchange_;
     std::vector<engine::RunStats> shard_totals_;
 };

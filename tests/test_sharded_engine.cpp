@@ -10,17 +10,20 @@
  * the modeled multi-device speedup on an I/O-bound run, the per-bucket
  * migration flushes (wire time hidden behind stepping, conserved
  * against the one-shot price), migration traffic repeating across
- * runs and step-thread counts, locality-aware seeding, and
+ * runs and step-thread counts, locality-aware seeding, two-shard wave
+ * balancing at seeding, per-shard totals priced like the run, and
  * pre-sampling staying out of shard rounds.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/noswalker_engine.hpp"
+#include "engine/app.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
@@ -58,6 +61,22 @@ class ShardedEngineTest : public testing::Test {
         cfg.num_shards = shards;
         cfg.step_threads = threads;
         return cfg;
+    }
+
+    /** Walkers per shard under locality seeding alone (the owner of
+     *  each walker's start vertex), as ShardedEngine::run seeds. */
+    template <typename App>
+    std::vector<std::uint64_t>
+    locality_counts(App &app, const shard::ShardPlan &plan,
+                    std::uint64_t walkers, std::uint64_t seed) const
+    {
+        std::vector<std::uint64_t> counts(plan.num_shards(), 0);
+        for (std::uint64_t id = 0; id < walkers; ++id) {
+            const auto rec = engine::seed_record(app, id, seed);
+            ++counts[plan.assign_walker(
+                *partition_, engine::waiting_vertex(app, rec.w))];
+        }
+        return counts;
     }
 
     graph::CsrGraph graph_;
@@ -340,6 +359,133 @@ TEST_F(ShardedEngineTest, ModeledSpeedupWithPrivateDevices)
         }
     }
     EXPECT_LT(modeled[1], modeled[0]);
+}
+
+TEST_F(ShardedEngineTest, TwoShardDenseSeedingBalancesTheWaves)
+{
+    // With two shards a live walker changes shard at every barrier, so
+    // the walkers seeded on each shard form a wave that takes turns
+    // with the other.  A dense run admits at most ceil(W/2) of a
+    // shard's seeded walkers in round 1; the rest head that shard's
+    // round-2 inbox and so join the other wave.  The rmat graph's
+    // low, high-degree vertices fill the first shard's byte half with
+    // few vertices, so locality seeding alone is skewed.
+    const std::uint64_t walkers = 2ULL * file_->num_vertices();
+    const std::uint64_t half = (walkers + 1) / 2;
+    constexpr std::uint32_t kLength = 10;
+
+    ConcurrentRecordingWalk plain_app(kLength, file_->num_vertices(),
+                                      walkers);
+    core::EngineConfig plain_cfg = config(1, 1);
+    plain_cfg.presample = false;
+    core::NosWalkerEngine<ConcurrentRecordingWalk> plain(
+        *file_, *partition_, plain_cfg);
+    plain.run(plain_app, walkers);
+
+    std::vector<std::uint64_t> seeded;
+    std::uint64_t rounds = 0;
+    std::uint64_t migrations = 0;
+    std::uint64_t batches = 0;
+    for (const unsigned threads : {1u, 8u}) {
+        const core::EngineConfig cfg = config(2, threads);
+        shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, cfg);
+        ASSERT_EQ(eng.num_shards(), 2u);
+        for (int rep = 0; rep < 3; ++rep) {
+            SCOPED_TRACE(testing::Message()
+                         << "threads " << threads << " run " << rep);
+            ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                        walkers);
+            if (seeded.empty()) {
+                seeded = locality_counts(app, eng.plan(), walkers,
+                                         cfg.seed);
+                ASSERT_GT(std::max(seeded[0], seeded[1]), half + 16);
+            }
+            const auto stats = eng.run(app, walkers);
+            EXPECT_EQ(app.endpoints, plain_app.endpoints);
+            EXPECT_EQ(stats.walkers, walkers);
+
+            // Round 1: the heavy shard admits exactly ceil(W/2), the
+            // light one its locality count; the heavy shard's excess
+            // opens its round-2 inbox.  The two waves are then
+            // ceil(W/2) and floor(W/2).
+            const auto &log = eng.round_log();
+            ASSERT_GE(log.size(), 2u);
+            const unsigned heavy = seeded[0] > seeded[1] ? 0u : 1u;
+            const unsigned light = 1u - heavy;
+            EXPECT_EQ(log[0][heavy].admitted, half);
+            EXPECT_EQ(log[0][light].admitted, seeded[light]);
+            const std::uint64_t other_wave =
+                walkers - log[0][heavy].admitted;
+            EXPECT_LE(log[0][heavy].admitted - other_wave, 1u);
+            EXPECT_GE(log[1][heavy].admitted, seeded[heavy] - half);
+
+            if (rounds == 0) {
+                rounds = eng.rounds();
+                migrations = stats.migrations;
+                batches = stats.migration_batches;
+                EXPECT_GT(batches, 0u);
+                continue;
+            }
+            EXPECT_EQ(eng.rounds(), rounds);
+            EXPECT_EQ(stats.migrations, migrations);
+            EXPECT_EQ(stats.migration_batches, batches);
+        }
+    }
+}
+
+TEST_F(ShardedEngineTest, SparseOrWideRunsSeedByLocality)
+{
+    // Wave balancing needs both two shards and a dense run: a sparse
+    // two-shard run and a dense four-shard run admit every seeded
+    // walker in round 1, on the shard that owns its start vertex.
+    const std::uint64_t dense = 2ULL * file_->num_vertices();
+    const std::uint64_t sparse = file_->num_vertices() - 1;
+    for (const auto &[shards, walkers] :
+         {std::pair{2u, sparse}, std::pair{4u, dense}}) {
+        SCOPED_TRACE(testing::Message()
+                     << shards << " shards, " << walkers << " walkers");
+        const core::EngineConfig cfg = config(shards, 2);
+        ConcurrentRecordingWalk app(10, file_->num_vertices(), walkers);
+        shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, cfg);
+        const std::vector<std::uint64_t> seeded =
+            locality_counts(app, eng.plan(), walkers, cfg.seed);
+        eng.run(app, walkers);
+        ASSERT_FALSE(eng.round_log().empty());
+        const std::vector<shard::ShardRound> &first =
+            eng.round_log().front();
+        ASSERT_EQ(first.size(), seeded.size());
+        for (std::size_t s = 0; s < seeded.size(); ++s) {
+            EXPECT_EQ(first[s].admitted, seeded[s]) << "shard " << s;
+        }
+    }
+}
+
+TEST_F(ShardedEngineTest, ShardTotalsPriceLikeTheRun)
+{
+    // Per-shard totals carry the run's label, I/O efficiency and
+    // pipelined pricing, so one shard's total is the run itself and a
+    // shard of a wider run never prices above the run.
+    constexpr std::uint64_t kWalkers = 400;
+    for (const unsigned shards : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message() << shards << " shards");
+        ConcurrentRecordingWalk app(16, file_->num_vertices(), kWalkers);
+        shard::ShardedEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, config(shards, 1));
+        const auto stats = eng.run(app, kWalkers);
+        ASSERT_EQ(eng.shard_stats().size(), shards);
+        for (const engine::RunStats &s : eng.shard_stats()) {
+            EXPECT_EQ(s.engine, stats.engine);
+            EXPECT_EQ(s.io_efficiency, core::kAsyncIoEfficiency);
+            EXPECT_TRUE(s.pipelined);
+            EXPECT_LE(s.modeled_seconds(), stats.modeled_seconds());
+        }
+        if (shards == 1) {
+            EXPECT_EQ(eng.shard_stats()[0].modeled_seconds(),
+                      stats.modeled_seconds());
+        }
+    }
 }
 
 class MigrationOverlapTest : public ShardedEngineTest {};

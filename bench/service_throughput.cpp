@@ -101,8 +101,9 @@ run_point(BenchEnv &env, GraphHandle &handle, unsigned workers,
     cfg.max_batch = max_batch;
     cfg.num_shards = shards;
     cfg.batch_window_seconds = max_batch > 1 ? 0.001 : 0.0;
-    // Sharded runners duplicate the per-engine floor (one CSR index
-    // copy and buffer pair per shard), so the budget scales with both.
+    // Every shard engine holds its own block buffers and walker pool
+    // (and the index slice of its blocks), so the budget scales with
+    // both workers and shards.
     cfg.memory_budget =
         env.budget_for(handle) * workers * shards + (16ULL << 20);
     cfg.cache_bytes = cfg.memory_budget / 4;

@@ -169,7 +169,8 @@ main(int argc, char **argv)
     // Scale-out semantics: every shard is its own node and brings its
     // own budget, so the sweep holds the *per-shard* budget fixed (the
     // 1/N slice of a fixed total would fall below the engine floor —
-    // CSR index copy + block buffers — at higher shard counts).
+    // the shard's index slice + block buffers — at higher shard
+    // counts).
     const std::uint64_t budget_per_shard = env.budget_for(h);
     const std::uint64_t walkers = v;
     const std::uint32_t length = 10;

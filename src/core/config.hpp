@@ -42,8 +42,9 @@ struct EngineConfig {
      *  α·|Wa|·4KiB < S_G (§3.3.1; paper default 4). */
     double alpha = 4.0;
 
-    /** Fraction of post-index budget granted to the walker pool.  The
-     *  paper's walker pools "initially occupy most of the memory". */
+    /** Fraction of the budget left after the CSR index and the block
+     *  buffers granted to the walker pool.  The paper's walker pools
+     *  "initially occupy most of the memory". */
     double walker_memory_fraction = 0.5;
 
     /** Fraction of the budget left after the walker pool reserved for

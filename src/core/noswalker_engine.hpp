@@ -74,6 +74,31 @@ namespace noswalker::core {
 inline constexpr double kAsyncIoEfficiency = 0.8;
 
 /**
+ * Resident CSR index bytes an engine owning blocks
+ * [@p first_block, @p end_block) is charged (DESIGN.md §11): the
+ * offsets of its own vertices plus one end entry, and — only when the
+ * range leaves some vertex to another shard — a ⌈|V|/8⌉ B out-edge
+ * bitmap.  The bitmap answers the one off-slice index read that
+ * decides anything: StepKernel::resolve's degree check, which retires
+ * a walker landing on another shard's dead end instead of emigrating
+ * it.  A range covering every vertex is charged file.index_bytes().
+ */
+inline std::uint64_t
+index_charge(const graph::GraphFile &file,
+             const graph::BlockPartition &partition,
+             std::uint32_t first_block, std::uint32_t end_block)
+{
+    const std::uint64_t owned =
+        partition.block(end_block - 1).end_vertex -
+        partition.block(first_block).first_vertex;
+    if (owned >= file.num_vertices()) {
+        return file.index_bytes();
+    }
+    return (owned + 1) * sizeof(graph::EdgeIndex) +
+           (std::uint64_t{file.num_vertices()} + 7) / 8;
+}
+
+/**
  * Walker-oriented out-of-core random walk engine.
  *
  * @tparam App  a RandomWalkApp (optionally SecondOrderApp).
@@ -156,6 +181,7 @@ class NosWalkerEngine {
      * break the cross-shard bit-identity contract (DESIGN.md §11).
      * Per-walker streams are untouched by migration, so each
      * trajectory stays a pure function of (seed, walker id, graph).
+     * The round reserves only the range's index slice (index_charge).
      */
     engine::RunStats
     run_records(App &app, std::vector<Record> records, std::uint64_t seed,
@@ -384,9 +410,14 @@ class NosWalkerEngine {
     void
     setup(util::MemoryBudget &budget, std::uint64_t total)
     {
-        // CSR index stays in memory (§3.3.1).
-        index_rsv_ = util::Reservation(budget, file_->index_bytes(),
-                                       "csr index");
+        // CSR index stays in memory (§3.3.1); a shard holds only the
+        // slice of the blocks it owns (index_charge).
+        index_rsv_ = util::Reservation(
+            budget,
+            shard_mode_ ? index_charge(*file_, *partition_, owned_begin_,
+                                       owned_end_)
+                        : file_->index_bytes(),
+            "csr index");
 
         // Resident block buffers: the depth-independent baseline of
         // two (the block being processed plus one lookahead, as in

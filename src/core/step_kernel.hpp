@@ -289,6 +289,11 @@ class StepKernel {
         }
         const graph::VertexId v = rec.w.location;
         lane.v = v;
+        // The only off-slice index read that decides anything: in a
+        // shard round v may belong to another shard, whose dead end
+        // retires here instead of emigrating.  A shard is charged an
+        // out-edge bitmap for it, not the other shards' offsets
+        // (core::index_charge, DESIGN.md §11).
         if (eng.file_->degree(v) == 0) {
             lane.source = Source::kRetire;
             return;
@@ -353,7 +358,10 @@ class StepKernel {
      * second-order walker's pending candidate — so the *next*
      * rotation's resolve (degree check + view construction) doesn't
      * take the miss.  admit() covers only a lane's first rotation; this
-     * covers every subsequent one.
+     * covers every subsequent one.  The entry may lie off the shard's
+     * index slice; besides resolve()'s degree check, these two
+     * prefetch hints are the only off-slice index reads, and a hint
+     * decides nothing.
      */
     static void
     warm_next(E &eng, const App &app, const Record &rec, Delta &delta)

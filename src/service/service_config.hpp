@@ -80,8 +80,10 @@ struct ServiceConfig {
      * device, and walkers migrate between shards in batches at round
      * barriers.  Results are bit-identical at every value — request
      * output is a pure function of the request seed (DESIGN.md §11).
-     * Note each shard keeps its own CSR index copy, so the minimum
-     * footprint scales with the shard count.
+     * Each shard holds the CSR index slice of its own blocks (plus an
+     * out-edge bitmap), its own block buffer and its own minimum
+     * walker pool, so the minimum footprint grows with the shard
+     * count (WalkService::min_run_footprint).
      */
     unsigned num_shards = 1;
 

@@ -71,8 +71,8 @@ TrafficModel::make_episode(std::uint64_t seed) const
     // Budget modes: unlimited, generous (everything fits with room to
     // queue), tight (giants starve it, sharded floors can reject).
     const std::uint64_t floor =
-        WalkService::min_run_footprint(*file_, *partition_) *
-        cfg.num_shards;
+        WalkService::min_run_footprint(*file_, *partition_,
+                                       cfg.num_shards);
     switch (rng.next_index(3)) {
     case 0:
         cfg.memory_budget = 0;

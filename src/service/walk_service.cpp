@@ -173,10 +173,8 @@ WalkService::WalkService(const graph::GraphFile &file,
         step_pool_ =
             std::make_unique<util::ThreadPool>(config_.step_threads - 1);
     }
-    // Sharded engines duplicate the floor per shard (each shard holds
-    // its own CSR index copy, buffer pair, and minimum walker pool).
-    min_footprint_ = min_run_footprint(file, partition) *
-                     std::max(1u, config_.num_shards);
+    min_footprint_ =
+        min_run_footprint(file, partition, config_.num_shards);
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
     workers_.reserve(config_.num_workers);
     for (unsigned i = 0; i < config_.num_workers; ++i) {
@@ -188,16 +186,25 @@ WalkService::~WalkService() { stop(); }
 
 std::uint64_t
 WalkService::min_run_footprint(const graph::GraphFile &file,
-                               const graph::BlockPartition &partition)
+                               const graph::BlockPartition &partition,
+                               unsigned num_shards)
 {
-    // Mirrors NosWalkerEngine::setup() floors: the resident CSR index,
+    // Mirrors NosWalkerEngine::setup() floors, once per shard of the
+    // plan a ShardedEngine would build: the shard's CSR index charge,
     // one coarse block buffer (page-aligned, single-buffer degraded
     // mode), and the 64-walker minimum pool.
     const std::uint64_t page = storage::BlockReader::kPageBytes;
     const std::uint64_t aligned =
         (partition.max_block_bytes() / page + 2) * page;
-    return file.index_bytes() + aligned +
-           64 * sizeof(engine::Stepped<ServiceWalker>);
+    const shard::ShardPlan plan(partition, std::max(1u, num_shards));
+    std::uint64_t floor = 0;
+    for (unsigned s = 0; s < plan.num_shards(); ++s) {
+        const shard::ShardRange &range = plan.shard(s);
+        floor += core::index_charge(file, partition, range.first_block,
+                                    range.end_block) +
+                 aligned + 64 * sizeof(engine::Stepped<ServiceWalker>);
+    }
+    return floor;
 }
 
 std::uint64_t

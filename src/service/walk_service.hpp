@@ -137,13 +137,16 @@ class WalkService {
     const util::MemoryBudget &budget() const { return budget_; }
 
     /**
-     * Smallest shared budget one engine run needs over this graph:
-     * CSR index + one coarse block buffer + the minimum walker pool.
-     * Requests against a smaller budget are rejected at submission.
+     * Smallest shared budget one engine run over this graph needs at
+     * @p num_shards shards: per shard of the ShardPlan, its CSR index
+     * charge (core::index_charge) + one coarse block buffer + the
+     * minimum walker pool.  Requests against a smaller budget are
+     * rejected at submission.
      */
     static std::uint64_t
     min_run_footprint(const graph::GraphFile &file,
-                      const graph::BlockPartition &partition);
+                      const graph::BlockPartition &partition,
+                      unsigned num_shards = 1);
 
   private:
     using Clock = std::chrono::steady_clock;

@@ -109,8 +109,8 @@ TEST(TrafficModel, CoversAdversarialClassesAcrossSeeds)
         // well under a single giant's result buffer ("generous" mode
         // starts at floor + 8 MiB, so the classes separate cleanly).
         const std::uint64_t floor =
-            WalkService::min_run_footprint(*s.file, *s.partition) *
-            ep.config.num_shards;
+            WalkService::min_run_footprint(*s.file, *s.partition,
+                                           ep.config.num_shards);
         saw_tight_budget |=
             ep.config.memory_budget != 0 &&
             ep.config.memory_budget < floor + (4ULL << 20);

@@ -387,12 +387,10 @@ TEST_F(PrefetchTest, ColdVsWarmCacheKeepsOutputStable)
     EXPECT_LE(warm.cache_miss_blocks, cold.cache_miss_blocks);
 }
 
-// The LoadPlannerEngineTest cases are named for the lookahead load
-// planner that once sat in front of the greedy top-K nomination.  With
-// the planner retired they check what it left behind at the planner's
-// depth of 4: the walk does not move across step threads or shards,
-// and the plan counters RunStats still reports stay 0.
-using LoadPlannerEngineTest = PrefetchTest;
+// Prefetch depth 4, the deepest lookahead the suites run: the walk
+// does not move across step threads or shards, and the plan counters
+// RunStats still reports (left from a retired load planner) stay 0.
+using PrefetchDepthEngineTest = PrefetchTest;
 
 void
 expect_no_plan_counters(const engine::RunStats &stats)
@@ -402,7 +400,7 @@ expect_no_plan_counters(const engine::RunStats &stats)
     EXPECT_EQ(stats.plan_cache_credits, 0u);
 }
 
-TEST_F(LoadPlannerEngineTest, WalkIsBitIdenticalAcrossPlanWindows)
+TEST_F(PrefetchDepthEngineTest, WalkIsBitIdenticalAcrossPlanWindows)
 {
     constexpr std::uint64_t kWalkers = 600;
     constexpr std::uint32_t kLength = 24;
@@ -430,7 +428,7 @@ TEST_F(LoadPlannerEngineTest, WalkIsBitIdenticalAcrossPlanWindows)
     EXPECT_EQ(visits[1], visits[0]);
 }
 
-TEST_F(LoadPlannerEngineTest, Node2VecIsBitIdenticalAcrossPlanWindows)
+TEST_F(PrefetchDepthEngineTest, Node2VecIsBitIdenticalAcrossPlanWindows)
 {
     std::vector<std::vector<graph::VertexId>> endpoints;
     std::vector<std::uint64_t> steps;
@@ -447,7 +445,7 @@ TEST_F(LoadPlannerEngineTest, Node2VecIsBitIdenticalAcrossPlanWindows)
     EXPECT_EQ(endpoints[1], endpoints[0]);
 }
 
-TEST_F(LoadPlannerEngineTest, ShardedWalkBitIdenticalAcrossPlanWindows)
+TEST_F(PrefetchDepthEngineTest, ShardedWalkBitIdenticalAcrossPlanWindows)
 {
     constexpr std::uint64_t kWalkers = 400;
     constexpr std::uint32_t kLength = 16;

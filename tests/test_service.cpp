@@ -243,9 +243,10 @@ TEST(WalkService, ShardedBackendMatchesPlainServiceBitForBit)
 
 TEST(WalkService, ShardedServiceScalesMinFootprint)
 {
-    // Each shard holds its own CSR index copy and buffers, so the
-    // admission floor multiplies by the shard count: a budget that
-    // admits one engine can reject a four-shard configuration.
+    // Each shard holds its own index slice, buffer and minimum walker
+    // pool, so the admission floor grows with the shard count: a
+    // budget that admits one engine can reject a four-shard
+    // configuration.
     Fixture s(graph::generate_uniform(1000, 8, 5), 4096);
     const std::uint64_t floor_one =
         WalkService::min_run_footprint(*s.file, *s.partition);
@@ -262,6 +263,56 @@ TEST(WalkService, ShardedServiceScalesMinFootprint)
     const WalkResult result = service.submit(request).get();
     EXPECT_EQ(result.status, WalkStatus::kRejectedBudget);
     EXPECT_EQ(service.counters().rejected_budget, 1u);
+}
+
+TEST(WalkService, ShardedServiceRunsBetweenSliceAndCopyFloors)
+{
+    // The floor sums each shard's index slice, not a full index copy
+    // per shard: a two-shard service under a budget below two copies
+    // serves requests exactly like a one-shard service.
+    Fixture s(graph::generate_uniform(1000, 8, 5), 4096);
+    const std::uint64_t floor_one =
+        WalkService::min_run_footprint(*s.file, *s.partition);
+    const std::uint64_t floor_two =
+        WalkService::min_run_footprint(*s.file, *s.partition, 2);
+    ASSERT_LT(floor_two, 2 * floor_one);
+
+    // Eight walkers a batch: no shard's pool outgrows the floor's
+    // 64-walker minimum.
+    std::vector<WalkRequest> requests;
+    for (graph::VertexId i = 0; i < 6; ++i) {
+        WalkRequest r;
+        r.kind = i % 2 == 0 ? WalkKind::kPaths : WalkKind::kEndpoints;
+        r.starts = {i * 97, 999 - i * 131};
+        r.walks_per_start = 4;
+        r.length = 8;
+        r.seed = 300 + i;
+        requests.push_back(r);
+    }
+
+    ServiceConfig base;
+    base.num_workers = 1;
+    base.max_batch = 1;
+    base.batch_window_seconds = 0.0;
+    base.cache_bytes = 0;
+    base.memory_budget = (floor_two + 2 * floor_one) / 2;
+
+    ServiceConfig plain = base;
+    plain.num_shards = 1;
+    const auto reference = run_all(s, plain, requests);
+    ServiceConfig sharded = base;
+    sharded.num_shards = 2;
+    const auto results = run_all(s, sharded, requests);
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        ASSERT_EQ(reference[i].status, WalkStatus::kOk)
+            << "request " << i << ": " << reference[i].error;
+        ASSERT_EQ(results[i].status, WalkStatus::kOk)
+            << "request " << i << ": " << results[i].error;
+        EXPECT_EQ(results[i].endpoints, reference[i].endpoints);
+        EXPECT_EQ(results[i].paths, reference[i].paths);
+        EXPECT_EQ(results[i].stats.steps, reference[i].stats.steps);
+    }
 }
 
 TEST(WalkService, PathsFollowRealEdges)
@@ -652,7 +703,7 @@ TEST(ServiceFaults, FailedReadFailsItsRequestAndTheBudgetDrains)
     EXPECT_EQ(service.budget().used(), 0u);
 }
 
-TEST(LoadPlannerService, PerTenantStatsCarryCacheCounters)
+TEST(ServiceCacheCounters, PerTenantStatsCarryCacheCounters)
 {
     // Per-tenant SharedBlockCache accounting.  Two requests from one
     // tenant: the first warms the cache, the second hits it, and both

@@ -11,8 +11,9 @@
  * migration flushes (wire time hidden behind stepping, conserved
  * against the one-shot price), migration traffic repeating across
  * runs and step-thread counts, locality-aware seeding, two-shard wave
- * balancing at seeding, per-shard totals priced like the run, and
- * pre-sampling staying out of shard rounds.
+ * balancing at seeding, per-shard totals priced like the run, the
+ * per-shard index charge, walkers retiring on another shard's dead
+ * end without migrating, and pre-sampling staying out of shard rounds.
  */
 #include <gtest/gtest.h>
 
@@ -488,6 +489,227 @@ TEST_F(ShardedEngineTest, ShardTotalsPriceLikeTheRun)
     }
 }
 
+/** Smallest budget a shard engine over [first, end) reserves: its
+ *  index charge, one aligned block buffer (single-buffer mode) and the
+ *  64-walker minimum pool. */
+std::uint64_t
+shard_floor(const graph::GraphFile &file,
+            const graph::BlockPartition &partition, std::uint32_t first,
+            std::uint32_t end)
+{
+    const std::uint64_t page = 4096;
+    const std::uint64_t aligned =
+        (partition.max_block_bytes() / page + 2) * page;
+    return core::index_charge(file, partition, first, end) + aligned +
+           64 * sizeof(engine::Stepped<engine::Walker>);
+}
+
+TEST_F(ShardedEngineTest, TwoShardsRunUnderASliceBelowTheFullIndex)
+{
+    // A shard is charged only the index slice of its own blocks (plus
+    // the out-edge bitmap), so a per-shard slice too small for a full
+    // index copy still runs, and the walk, rounds and migrations are
+    // those of a roomy run.
+    constexpr std::uint64_t kWalkers = 300;
+    constexpr std::uint32_t kLength = 12;
+    const shard::ShardPlan plan(*partition_, 2);
+    ASSERT_EQ(plan.num_shards(), 2u);
+    std::uint64_t slice_floor = 0;
+    for (unsigned s = 0; s < 2; ++s) {
+        const shard::ShardRange &range = plan.shard(s);
+        EXPECT_LT(core::index_charge(*file_, *partition_,
+                                     range.first_block, range.end_block),
+                  file_->index_bytes());
+        slice_floor = std::max(
+            slice_floor, shard_floor(*file_, *partition_,
+                                     range.first_block, range.end_block));
+    }
+    // The same floor with a full index copy per shard.
+    const std::uint64_t copy_floor =
+        shard_floor(*file_, *partition_, 0, partition_->num_blocks());
+    ASSERT_LT(slice_floor, copy_floor);
+    const std::uint64_t slice = (slice_floor + copy_floor) / 2;
+
+    ConcurrentRecordingWalk plain_app(kLength, file_->num_vertices(),
+                                      kWalkers);
+    core::EngineConfig plain_cfg = config(1, 1);
+    plain_cfg.presample = false;
+    core::NosWalkerEngine<ConcurrentRecordingWalk> plain(
+        *file_, *partition_, plain_cfg);
+    plain.run(plain_app, kWalkers);
+
+    ConcurrentRecordingWalk roomy_app(kLength, file_->num_vertices(),
+                                      kWalkers);
+    shard::ShardedEngine<ConcurrentRecordingWalk> roomy(
+        *file_, *partition_, config(2, 2));
+    const auto roomy_stats = roomy.run(roomy_app, kWalkers);
+
+    ConcurrentRecordingWalk app(kLength, file_->num_vertices(), kWalkers);
+    core::EngineConfig cfg = config(2, 2);
+    cfg.memory_budget = 2 * slice;
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(*file_, *partition_,
+                                                      cfg);
+    const auto stats = eng.run(app, kWalkers);
+    EXPECT_EQ(app.endpoints, plain_app.endpoints);
+    EXPECT_EQ(stats.walkers, kWalkers);
+    EXPECT_EQ(eng.rounds(), roomy.rounds());
+    EXPECT_EQ(stats.migrations, roomy_stats.migrations);
+    EXPECT_GT(stats.migrations, 0u);
+    for (const engine::RunStats &shard : eng.shard_stats()) {
+        EXPECT_LE(shard.peak_memory, slice);
+    }
+}
+
+TEST_F(ShardedEngineTest, OneShardChargesLikeThePlainEngine)
+{
+    // One shard owns every vertex: it is charged the whole index and
+    // no bitmap, so its footprint is the plain engine's.
+    constexpr std::uint64_t kWalkers = 300;
+    const std::uint64_t budget =
+        testing_support::tight_budget(*file_, *partition_);
+    EXPECT_EQ(core::index_charge(*file_, *partition_, 0,
+                                 partition_->num_blocks()),
+              file_->index_bytes());
+
+    ConcurrentRecordingWalk plain_app(12, file_->num_vertices(), kWalkers);
+    core::EngineConfig plain_cfg = config(1, 1);
+    plain_cfg.presample = false;
+    plain_cfg.memory_budget = budget;
+    core::NosWalkerEngine<ConcurrentRecordingWalk> plain(
+        *file_, *partition_, plain_cfg);
+    const auto plain_stats = plain.run(plain_app, kWalkers);
+
+    ConcurrentRecordingWalk app(12, file_->num_vertices(), kWalkers);
+    core::EngineConfig cfg = config(1, 1);
+    cfg.memory_budget = budget;
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(*file_, *partition_,
+                                                      cfg);
+    eng.run(app, kWalkers);
+    ASSERT_EQ(eng.shard_stats().size(), 1u);
+    EXPECT_GT(plain_stats.peak_memory, file_->index_bytes());
+    EXPECT_EQ(eng.shard_stats()[0].peak_memory, plain_stats.peak_memory);
+    EXPECT_EQ(app.endpoints, plain_app.endpoints);
+}
+
+/** Uniform walk recording every walker's path, start vertex first.
+ *  Each walker writes only its own slot, so shard threads never share
+ *  one. */
+class PathWalk {
+  public:
+    using WalkerT = engine::Walker;
+
+    PathWalk(std::uint32_t length, graph::VertexId num_vertices,
+             std::uint64_t num_walkers)
+        : paths(num_walkers), length_(length), num_vertices_(num_vertices)
+    {
+    }
+
+    WalkerT
+    generate(std::uint64_t n)
+    {
+        const auto start = static_cast<graph::VertexId>(
+            util::SplitMix64(n * 31 + 5).next() % num_vertices_);
+        paths[n] = {start};
+        return WalkerT{n, start, 0};
+    }
+
+    graph::VertexId
+    sample(const graph::VertexView &view, util::Rng &rng)
+    {
+        return view.sample_uniform(rng);
+    }
+
+    bool active(const WalkerT &w) const { return w.step < length_; }
+
+    bool
+    action(WalkerT &w, graph::VertexId next, util::Rng &)
+    {
+        paths[w.id].push_back(next);
+        w.location = next;
+        ++w.step;
+        return true;
+    }
+
+    std::vector<std::vector<graph::VertexId>> paths;
+
+  private:
+    std::uint32_t length_;
+    graph::VertexId num_vertices_;
+};
+
+TEST_F(ShardedEngineTest, OffShardDeadEndRetiresWithoutMigrating)
+{
+    // The degree check a shard answers from its out-edge bitmap: a
+    // walker that lands on another shard's vertex with no out-edges
+    // retires where it is.  Left vertices [0, 128) point at left
+    // vertices, at right vertices with out-edges [128, 192) and at
+    // right dead ends [192, 256); right vertices with out-edges point
+    // back left.  Equal edge bytes on each side split the two shards
+    // between left and right.
+    constexpr graph::VertexId kLeft = 128;
+    constexpr graph::VertexId kDeadBegin = 192;
+    constexpr graph::VertexId kVertices = 256;
+    std::vector<graph::EdgeIndex> offsets{0};
+    std::vector<graph::VertexId> targets;
+    for (graph::VertexId u = 0; u < kVertices; ++u) {
+        if (u < kLeft) {
+            for (const graph::VertexId t :
+                 {(u + 1) % kLeft, (u + 17) % kLeft, (u + 33) % kLeft,
+                  (u + 65) % kLeft, kLeft + u % 64,
+                  kLeft + (7 * u + 3) % 64, kDeadBegin + u % 64,
+                  kDeadBegin + (5 * u + 1) % 64}) {
+                targets.push_back(t);
+            }
+        } else if (u < kDeadBegin) {
+            for (graph::VertexId k = 0; k < 16; ++k) {
+                targets.push_back((u * 3 + 11 * k) % kLeft);
+            }
+        }
+        offsets.push_back(targets.size());
+    }
+    const graph::CsrGraph g(std::move(offsets), std::move(targets));
+    storage::MemDevice device;
+    graph::GraphFile::write(g, device);
+    const graph::GraphFile file(device);
+    const graph::BlockPartition partition(file,
+                                          file.edge_region_bytes() / 8);
+
+    constexpr std::uint64_t kWalkers = 400;
+    constexpr std::uint32_t kLength = 12;
+    core::EngineConfig cfg =
+        core::EngineConfig::full(0, partition.max_block_bytes());
+    cfg.num_shards = 2;
+    cfg.step_threads = 2;
+    PathWalk app(kLength, kVertices, kWalkers);
+    shard::ShardedEngine<PathWalk> eng(file, partition, cfg);
+    ASSERT_EQ(eng.num_shards(), 2u);
+    const auto stats = eng.run(app, kWalkers);
+
+    const auto shard_of = [&](graph::VertexId v) {
+        return eng.plan().assign_walker(partition, v);
+    };
+    // A walker emigrates after a step that crosses shards unless the
+    // step ends its walk or lands on a dead end.
+    std::uint64_t crossings_to_live = 0;
+    std::uint64_t crossings_to_dead = 0;
+    for (const std::vector<graph::VertexId> &path : app.paths) {
+        for (std::size_t k = 1; k < path.size(); ++k) {
+            if (shard_of(path[k - 1]) == shard_of(path[k]) ||
+                k == kLength) {
+                continue;
+            }
+            if (g.degree(path[k]) == 0) {
+                ++crossings_to_dead;
+            } else {
+                ++crossings_to_live;
+            }
+        }
+    }
+    EXPECT_GT(crossings_to_dead, 0u);
+    EXPECT_GT(crossings_to_live, 0u);
+    EXPECT_EQ(stats.migrations, crossings_to_live);
+}
+
 class MigrationOverlapTest : public ShardedEngineTest {};
 
 TEST_F(MigrationOverlapTest, OverlapHidesWaitOnSlowDevice)
@@ -550,9 +772,9 @@ TEST_F(MigrationOverlapTest, LocalitySeedingStartsWalkersOnOwnerShard)
     EXPECT_EQ(stats.walkers, 400u);
 }
 
-class ShardPresampleTest : public ShardedEngineTest {};
+class ShardedPresampleOffTest : public ShardedEngineTest {};
 
-TEST_F(ShardPresampleTest, OffByDefaultInShardRounds)
+TEST_F(ShardedPresampleOffTest, OffByDefaultInShardRounds)
 {
     // The cross-shard-count bit-identity contract of num_shards keeps
     // pre-sampling out of shard rounds: no step is served from a

@@ -51,6 +51,14 @@ class BasicRandomWalk {
         return view.sample_uniform(rng);
     }
 
+    /** Fine-load slot hint: the uniform draw reads one target slot
+     *  (DESIGN.md §12). */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
     /** Step-kernel draw hint: dry-run the uniform draw on the probe
      *  copy and warm the exact target slot it lands on (DESIGN.md
      *  §12). */
@@ -81,6 +89,7 @@ class BasicRandomWalk {
 };
 
 static_assert(engine::RandomWalkApp<BasicRandomWalk>);
+static_assert(engine::SlotDrawApp<BasicRandomWalk>);
 static_assert(engine::DrawHintApp<BasicRandomWalk>);
 
 } // namespace noswalker::apps

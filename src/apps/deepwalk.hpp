@@ -68,6 +68,14 @@ class DeepWalk {
         return view.sample_uniform(rng);
     }
 
+    /** Fine-load slot hint: the uniform draw reads one target slot
+     *  (DESIGN.md §12). */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
     bool
     active(const WalkerT &w) const
     {
@@ -98,5 +106,6 @@ class DeepWalk {
 };
 
 static_assert(engine::RandomWalkApp<DeepWalk>);
+static_assert(engine::SlotDrawApp<DeepWalk>);
 
 } // namespace noswalker::apps

@@ -53,6 +53,14 @@ class GraphletConcentration {
         return view.sample_uniform(rng);
     }
 
+    /** Fine-load slot hint: the uniform draw reads one target slot
+     *  (DESIGN.md §12). */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
     bool active(const WalkerT &w) const { return w.step < length_; }
 
     bool
@@ -103,5 +111,6 @@ class GraphletConcentration {
 };
 
 static_assert(engine::RandomWalkApp<GraphletConcentration>);
+static_assert(engine::SlotDrawApp<GraphletConcentration>);
 
 } // namespace noswalker::apps

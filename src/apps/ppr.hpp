@@ -66,6 +66,14 @@ class PersonalizedPageRank {
         return view.sample_uniform(rng);
     }
 
+    /** Fine-load slot hint: the uniform draw reads one target slot
+     *  (DESIGN.md §12). */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
     /** Step-kernel gather hint: uniform sampling touches one random
      *  target slot, so warming the head lines covers the common
      *  low-degree case outright (DESIGN.md §12). */
@@ -152,6 +160,7 @@ PersonalizedPageRank::top_k(std::size_t source_index, std::size_t k) const
 }
 
 static_assert(engine::RandomWalkApp<PersonalizedPageRank>);
+static_assert(engine::SlotDrawApp<PersonalizedPageRank>);
 static_assert(engine::GatherHintApp<PersonalizedPageRank>);
 static_assert(engine::DrawHintApp<PersonalizedPageRank>);
 

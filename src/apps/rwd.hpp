@@ -53,6 +53,14 @@ class RandomWalkDomination {
         return view.sample_uniform(rng);
     }
 
+    /** Fine-load slot hint: the uniform draw reads one target slot
+     *  (DESIGN.md §12). */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
     bool active(const WalkerT &w) const { return w.step < length_; }
 
     bool
@@ -99,5 +107,6 @@ class RandomWalkDomination {
 };
 
 static_assert(engine::RandomWalkApp<RandomWalkDomination>);
+static_assert(engine::SlotDrawApp<RandomWalkDomination>);
 
 } // namespace noswalker::apps

@@ -59,6 +59,14 @@ class RandomWalkWithRestart {
         return view.sample_uniform(rng);
     }
 
+    /** Fine-load slot hint: the uniform draw reads one target slot
+     *  (DESIGN.md §12). */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
     bool active(const WalkerT &w) const { return w.step < steps_each_; }
 
     /**
@@ -132,5 +140,6 @@ class RandomWalkWithRestart {
 };
 
 static_assert(engine::RandomWalkApp<RandomWalkWithRestart>);
+static_assert(engine::SlotDrawApp<RandomWalkWithRestart>);
 
 } // namespace noswalker::apps

@@ -57,6 +57,14 @@ class SimRank {
         return view.sample_uniform(rng);
     }
 
+    /** Fine-load slot hint: the uniform draw reads one target slot
+     *  (DESIGN.md §12). */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
     bool active(const WalkerT &w) const { return w.step < length_; }
 
     bool
@@ -120,5 +128,6 @@ SimRank::estimate() const
 }
 
 static_assert(engine::RandomWalkApp<SimRank>);
+static_assert(engine::SlotDrawApp<SimRank>);
 
 } // namespace noswalker::apps

@@ -564,10 +564,22 @@ class NosWalkerEngine {
         request.fine = config_.shrink_block &&
                        scheduler_->fine_mode(pool_->live());
         if (request.fine) {
+            // Slot-exact fine loads (DESIGN.md §12): with a SlotDrawApp
+            // each parked walker needs only the page its next draw
+            // lands on.  Parked walkers do not move before the block is
+            // processed, so the kernel's draw is the one dry-run here.
             request.needed.reserve(pool_->parked(block));
+            if constexpr (engine::kHasSlotDraw<App>) {
+                request.slots.reserve(pool_->parked(block));
+            }
             for (const Record &rec : peek_bucket(block)) {
-                request.needed.push_back(
-                    engine::waiting_vertex(*app_, rec.w));
+                const graph::VertexId v =
+                    engine::waiting_vertex(*app_, rec.w);
+                request.needed.push_back(v);
+                if constexpr (engine::kHasSlotDraw<App>) {
+                    request.slots.push_back(engine::next_draw_slot(
+                        *app_, rec, file_->degree(v)));
+                }
             }
         }
         return request;

@@ -175,7 +175,8 @@ PrefetchPipeline::adapt(storage::AsyncLoader::Response response,
                         const storage::AsyncLoader::Request &demand)
 {
     if (demand.fine && !response.fine) {
-        reader_->refine(*demand.block, demand.needed, response.buffer);
+        reader_->refine(*demand.block, demand.needed, response.buffer,
+                        demand.slots);
         response.fine = true;
     }
     return response;

@@ -148,7 +148,7 @@ class PrefetchPipeline {
      * outstanding load is banked.  Serving a load charges the modeled
      * io-wait clock up to its FIFO completion.  A coarse
      * speculative result serving a fine demand is refined to the
-     * demand's needed list.
+     * demand's needed list and slots.
      */
     storage::AsyncLoader::Response
     obtain(storage::AsyncLoader::Request demand);

@@ -18,11 +18,13 @@
  *      rule (§3.3.5, Algorithm 1 l.9-12: the loaded block first, then
  *      the pre-samples — a reservoir draw or a direct low-degree
  *      reservation — else park; for second-order walkers, the pending
- *      candidate's adjacency), then issue software prefetches for the
- *      bytes the draw will touch.  The event's RNG is constructed here
- *      from the walker's own stream, so draw-hint apps can dry-run the
- *      draw on a copy and name the *exact* line sample() will read
- *      (DrawHintApp); other apps fall back to head-line hints
+ *      candidate's adjacency; a fine-loaded block serves a SlotDrawApp
+ *      walker once the page its draw lands on is resident), then
+ *      issue software prefetches for the bytes the draw will touch.
+ *      The event's RNG is constructed here from the walker's own
+ *      stream, so draw-hint apps can dry-run the draw on a copy and
+ *      name the *exact* line sample() will read (DrawHintApp); other
+ *      apps fall back to head-line hints
  *      (GatherHintApp / gather_prefetch).  Resolution is *pure* apart
  *      from the walker's own rng_state advance: it reads only per-round
  *      immutable state (block residency, published dry marks,
@@ -221,6 +223,28 @@ class StepKernel {
     }
 
     /**
+     * Whether @p buf serves the sampling event of @p rec at @p v (of
+     * @p degree): a complete buffer holding v always does; a fine one
+     * when the page of the slot the draw lands on is resident — the
+     * whole record for apps without the SlotDrawApp hook (DESIGN.md
+     * §12).  The draw is dry-run on a copy of the walker's stream.
+     */
+    static bool
+    block_serves(const E &eng, const App &app,
+                 const storage::BlockBuffer *buf, const Record &rec,
+                 graph::VertexId v, std::uint32_t degree)
+    {
+        if constexpr (engine::kHasSlotDraw<App>) {
+            if (buf != nullptr && !buf->complete() &&
+                buf->info() != nullptr && buf->info()->contains(v)) {
+                return buf->vertex_loaded(
+                    *eng.file_, v, engine::next_draw_slot(app, rec, degree));
+            }
+        }
+        return block_has(eng, buf, v);
+    }
+
+    /**
      * App-refined (or generic) prefetch of what the draw will read.
      * @p rng is the event's already-constructed generator; draw-hint
      * apps get a copy to dry-run the draw against, so the hint names
@@ -294,11 +318,12 @@ class StepKernel {
         // retires here instead of emigrating.  A shard is charged an
         // out-edge bitmap for it, not the other shards' offsets
         // (core::index_charge, DESIGN.md §11).
-        if (eng.file_->degree(v) == 0) {
+        const std::uint32_t degree = eng.file_->degree(v);
+        if (degree == 0) {
             lane.source = Source::kRetire;
             return;
         }
-        const bool in_block = block_has(eng, buf, v);
+        const bool in_block = block_serves(eng, app, buf, rec, v, degree);
         if (eng.config_.use_loaded_block && in_block) {
             lane.source = Source::kBlock;
             lane.view = buf->view(*eng.file_, v);

@@ -152,6 +152,57 @@ concept DrawHintApp =
 template <typename A>
 inline constexpr bool kHasDrawHint = DrawHintApp<A>;
 
+/** The slot sentinel of SlotDrawApp: the event may read more than one
+ *  slot, so a fine load needs the whole record. */
+using graph::kWholeRecord;
+
+/**
+ * Slot-draw extension (DESIGN.md §12): the fine-load twin of
+ * DrawHintApp.  draw_slot(w, degree, probe) dry-runs the walker's next
+ * sampling event on @p probe — a copy of the exact RNG sample() will
+ * consume — and returns the one target slot that event reads, or
+ * kWholeRecord when it may read more of the record (weighted or alias
+ * draws, second-order trials).  It needs only the degree, which the
+ * in-memory CSR index holds, so the engine asks before the record is
+ * loaded: a fine load marks only the page holding that slot, and a
+ * fine buffer serves the walker once that page is resident.
+ *
+ * Same purity contract as DrawHintApp, plus exactness: at a vertex of
+ * that degree, sample() must read targets[slot] and nothing else of
+ * the record.
+ */
+template <typename A>
+concept SlotDrawApp =
+    RandomWalkApp<A> &&
+    requires(const A app, const typename A::WalkerT &cw,
+             std::uint32_t degree, util::Rng probe) {
+        { app.draw_slot(cw, degree, probe) } -> std::same_as<std::uint32_t>;
+    };
+
+/** Compile-time dispatch helper. */
+template <typename A>
+inline constexpr bool kHasSlotDraw = SlotDrawApp<A>;
+
+/**
+ * The slot @p rec's next sampling event reads at a vertex of @p degree:
+ * draw_slot dry-run on a copy of the walker's stream (the stream itself
+ * advances only when the event runs), or kWholeRecord for apps without
+ * the hook.
+ */
+template <RandomWalkApp App>
+std::uint32_t
+next_draw_slot(const App &app, const Stepped<typename App::WalkerT> &rec,
+               std::uint32_t degree)
+{
+    if constexpr (kHasSlotDraw<App>) {
+        std::uint64_t state = rec.rng_state;
+        return app.draw_slot(rec.w, degree,
+                             util::Rng(util::splitmix_next(state)));
+    } else {
+        return kWholeRecord;
+    }
+}
+
 /**
  * The vertex a walker is waiting on: the pending candidate for
  * second-order walkers, otherwise the current location.

@@ -54,11 +54,23 @@ struct VertexView {
         return static_cast<std::uint32_t>(targets.size());
     }
 
+    /**
+     * The target slot a uniform draw from @p rng lands on among
+     * @p degree slots.  Needs only the degree, which the in-memory CSR
+     * index holds, so a dry run on a copy of the event's RNG names the
+     * slot before the record is loaded (engine::SlotDrawApp).
+     */
+    static std::uint32_t
+    uniform_slot(std::uint32_t degree, util::Rng &rng)
+    {
+        return static_cast<std::uint32_t>(rng.next_index(degree));
+    }
+
     /** Uniform random out-neighbour. @pre degree() > 0. */
     VertexId
     sample_uniform(util::Rng &rng) const
     {
-        return targets[rng.next_index(targets.size())];
+        return targets[uniform_slot(degree(), rng)];
     }
 
     /**
@@ -107,7 +119,7 @@ struct VertexView {
     unsigned
     prefetch_uniform_draw(util::Rng probe) const
     {
-        util::prefetch_line(&targets[probe.next_index(targets.size())]);
+        util::prefetch_line(&targets[uniform_slot(degree(), probe)]);
         return 1;
     }
 

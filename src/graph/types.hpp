@@ -20,6 +20,14 @@ using Weight = float;
 /** Sentinel for "no vertex". */
 inline constexpr VertexId kInvalidVertex = ~VertexId{0};
 
+/**
+ * Slot sentinel for fine loads (DESIGN.md §12): the event at a vertex
+ * may read more than one target slot of its record (a weighted or
+ * alias draw, a second-order trial), so its whole record must be
+ * resident.  Any other slot value names the one target entry it reads.
+ */
+inline constexpr std::uint32_t kWholeRecord = ~std::uint32_t{0};
+
 /** An edge as produced by builders and generators. */
 struct Edge {
     VertexId src = 0;

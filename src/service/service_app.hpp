@@ -130,6 +130,26 @@ class ServiceWalkApp {
                          : view.sample_uniform(rng);
     }
 
+    /** Fine-load slot hint: an unweighted draw reads one target slot;
+     *  a weighted (alias or prefix-scan) draw may read the whole record
+     *  (DESIGN.md §12). */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return weighted_ ? engine::kWholeRecord
+                         : graph::VertexView::uniform_slot(degree, probe);
+    }
+
+    /** Step-kernel draw hint: dry-run the batch's draw on the probe
+     *  copy and warm the exact lines it reads (DESIGN.md §12). */
+    unsigned
+    gather(const WalkerT &, const graph::VertexView &view,
+           util::Rng probe) const
+    {
+        return weighted_ ? view.prefetch_weighted_draw(probe)
+                         : view.prefetch_uniform_draw(probe);
+    }
+
     bool
     active(const WalkerT &w) const
     {
@@ -198,5 +218,7 @@ class ServiceWalkApp {
 
 static_assert(engine::RandomWalkApp<ServiceWalkApp>);
 static_assert(engine::StreamKeyApp<ServiceWalkApp>);
+static_assert(engine::SlotDrawApp<ServiceWalkApp>);
+static_assert(engine::DrawHintApp<ServiceWalkApp>);
 
 } // namespace noswalker::service

@@ -121,9 +121,9 @@ AsyncLoader::execute(Request &request)
     }
     try {
         if (request.fine) {
-            response.result = reader_->load_fine(*request.block,
-                                                 request.needed,
-                                                 response.buffer);
+            response.result =
+                reader_->load_fine(*request.block, request.needed,
+                                   response.buffer, request.slots);
         } else {
             response.result =
                 reader_->load_coarse(*request.block, response.buffer);

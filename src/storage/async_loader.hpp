@@ -50,6 +50,10 @@ class AsyncLoader {
         bool fine = false;
         /** Fine mode: vertices whose pages must be loaded. */
         std::vector<graph::VertexId> needed;
+        /** Fine mode: the target slot each needed vertex's next event
+         *  reads, in step with `needed` (graph::kWholeRecord = the
+         *  whole record); empty = whole records for all. */
+        std::vector<std::uint32_t> slots;
         /** Submission order tag; assigned by submit(). */
         std::uint64_t ticket = 0;
     };

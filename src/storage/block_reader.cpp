@@ -20,21 +20,57 @@ align_up(std::uint64_t x, std::uint64_t a)
     return (x + a - 1) / a * a;
 }
 
+/**
+ * Call @p fn(first, end) for each run [first, end) of marked pages in
+ * @p pages, a run ending early once it spans @p max_bytes.
+ */
+template <typename Fn>
+void
+for_each_page_run(const util::Bitmap &pages, std::uint64_t max_bytes,
+                  Fn &&fn)
+{
+    const std::uint64_t num_pages = pages.size();
+    std::uint64_t p = 0;
+    while (p < num_pages) {
+        if (!pages.test(p)) {
+            ++p;
+            continue;
+        }
+        std::uint64_t run_end = p + 1;
+        while (run_end < num_pages && pages.test(run_end) &&
+               (run_end - p) * BlockReader::kPageBytes < max_bytes) {
+            ++run_end;
+        }
+        fn(p, run_end);
+        p = run_end;
+    }
+}
+
 } // namespace
 
-bool
-BlockBuffer::pages_loaded(const graph::GraphFile &file,
-                          graph::VertexId v) const
+std::pair<std::uint64_t, std::uint64_t>
+BlockBuffer::page_range(const graph::GraphFile &file, graph::VertexId v,
+                        std::uint32_t slot) const
 {
-    const std::uint64_t begin = file.vertex_byte_offset(v);
-    const std::uint64_t len = file.vertex_byte_size(v);
+    std::uint64_t begin = file.vertex_byte_offset(v);
+    std::uint64_t len = file.vertex_byte_size(v);
     if (len == 0) {
-        return true;
+        return {1, 0};
     }
-    const std::uint64_t first_page =
-        (begin - aligned_begin_) / BlockReader::kPageBytes;
-    const std::uint64_t last_page =
-        (begin + len - 1 - aligned_begin_) / BlockReader::kPageBytes;
+    if (slot != graph::kWholeRecord) {
+        NOSWALKER_CHECK(slot < file.degree(v));
+        begin += std::uint64_t{slot} * sizeof(graph::VertexId);
+        len = sizeof(graph::VertexId);
+    }
+    return {(begin - aligned_begin_) / BlockReader::kPageBytes,
+            (begin + len - 1 - aligned_begin_) / BlockReader::kPageBytes};
+}
+
+bool
+BlockBuffer::pages_loaded(const graph::GraphFile &file, graph::VertexId v,
+                          std::uint32_t slot) const
+{
+    const auto [first_page, last_page] = page_range(file, v, slot);
     for (std::uint64_t p = first_page; p <= last_page; ++p) {
         if (!valid_pages_.test(p)) {
             return false;
@@ -117,22 +153,18 @@ void
 BlockReader::mark_needed_pages(
     const graph::BlockInfo &block,
     std::span<const graph::VertexId> needed_vertices,
-    BlockBuffer &out) const
+    std::span<const std::uint32_t> slots, BlockBuffer &out) const
 {
+    NOSWALKER_CHECK(slots.empty() ||
+                    slots.size() == needed_vertices.size());
     util::Bitmap &pages = out.valid_pages_;
-    for (graph::VertexId v : needed_vertices) {
+    for (std::size_t i = 0; i < needed_vertices.size(); ++i) {
+        const graph::VertexId v = needed_vertices[i];
         if (!block.contains(v)) {
             continue;
         }
-        const std::uint64_t begin = file_->vertex_byte_offset(v);
-        const std::uint64_t len = file_->vertex_byte_size(v);
-        if (len == 0) {
-            continue;
-        }
-        const std::uint64_t first_page =
-            (begin - out.aligned_begin_) / kPageBytes;
-        const std::uint64_t last_page =
-            (begin + len - 1 - out.aligned_begin_) / kPageBytes;
+        const auto [first_page, last_page] = out.page_range(
+            *file_, v, slots.empty() ? graph::kWholeRecord : slots[i]);
         for (std::uint64_t p = first_page; p <= last_page; ++p) {
             pages.set(p);
         }
@@ -142,14 +174,15 @@ BlockReader::mark_needed_pages(
 void
 BlockReader::refine(const graph::BlockInfo &block,
                     std::span<const graph::VertexId> needed_vertices,
-                    BlockBuffer &out) const
+                    BlockBuffer &out,
+                    std::span<const std::uint32_t> slots) const
 {
     NOSWALKER_CHECK(out.info() != nullptr &&
                     out.info()->id == block.id);
     NOSWALKER_CHECK(out.complete_);
     out.complete_ = false;
     out.valid_pages_.reset();
-    mark_needed_pages(block, needed_vertices, out);
+    mark_needed_pages(block, needed_vertices, slots, out);
 }
 
 LoadResult
@@ -198,20 +231,31 @@ BlockReader::load_coarse(const graph::BlockInfo &block, BlockBuffer &out)
 LoadResult
 BlockReader::load_fine(const graph::BlockInfo &block,
                        std::span<const graph::VertexId> needed_vertices,
-                       BlockBuffer &out)
+                       BlockBuffer &out,
+                       std::span<const std::uint32_t> slots)
 {
     prepare(block, out);
-    mark_needed_pages(block, needed_vertices, out);
-    util::Bitmap &pages = out.valid_pages_;
+    mark_needed_pages(block, needed_vertices, slots, out);
+    const util::Bitmap &pages = out.valid_pages_;
 
     LoadResult result;
     if (cache_ != nullptr) {
         if (const auto entry = cache_->find(block.id)) {
-            // The cache holds the whole coarse image; serve the marked
-            // pages from it with a memcpy instead of device I/O.
-            NOSWALKER_CHECK(entry->bytes.size() <= out.size_);
-            std::copy(entry->bytes.begin(), entry->bytes.end(),
-                      out.data_.get());
+            // The cache holds the whole coarse image; copy only the
+            // marked pages out of it instead of device I/O.
+            const std::vector<std::uint8_t> &image = entry->bytes;
+            NOSWALKER_CHECK(image.size() <= out.size_);
+            for_each_page_run(
+                pages, ~std::uint64_t{0},
+                [&](std::uint64_t first, std::uint64_t end) {
+                    const std::uint64_t lo = first * kPageBytes;
+                    const std::uint64_t hi = std::min<std::uint64_t>(
+                        end * kPageBytes, image.size());
+                    if (lo < hi) {
+                        std::copy(image.begin() + lo, image.begin() + hi,
+                                  out.data_.get() + lo);
+                    }
+                });
             result.from_cache = true;
             return result;
         }
@@ -220,31 +264,21 @@ BlockReader::load_fine(const graph::BlockInfo &block,
     // Coalesce runs of marked pages into single requests (bounded by
     // max_request_) and read them into place.
     const std::uint64_t device_end = file_->device().size();
-    const std::uint64_t num_pages = pages.size();
-    std::uint64_t p = 0;
-    while (p < num_pages) {
-        if (!pages.test(p)) {
-            ++p;
-            continue;
-        }
-        std::uint64_t run_end = p + 1;
-        while (run_end < num_pages && pages.test(run_end) &&
-               (run_end - p) * kPageBytes < max_request_) {
-            ++run_end;
-        }
-        const std::uint64_t off = out.aligned_begin_ + p * kPageBytes;
-        std::uint64_t len = (run_end - p) * kPageBytes;
-        if (off < device_end) {
-            len = std::min(len, device_end - off);
+    for_each_page_run(
+        pages, max_request_, [&](std::uint64_t first, std::uint64_t end) {
+            const std::uint64_t off = out.aligned_begin_ + first * kPageBytes;
+            if (off >= device_end) {
+                return;
+            }
+            const std::uint64_t len =
+                std::min((end - first) * kPageBytes, device_end - off);
             file_->device().read(off, len,
-                                 out.data_.get() + p * kPageBytes);
+                                 out.data_.get() + first * kPageBytes);
             result.bytes_read += len;
             ++result.requests;
             result.modeled_seconds +=
                 file_->device().model().request_seconds(len);
-        }
-        p = run_end;
-    }
+        });
     return result;
 }
 

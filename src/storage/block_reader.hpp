@@ -6,13 +6,16 @@
  * (bandwidth-bound on the SsdModel).  Fine mode loads only the 4 KiB
  * pages that stalled walkers need, following a page bitmap (IOPS-bound)
  * — adjacent marked pages are coalesced into single requests, exactly
- * like issuing one larger NVMe command.
+ * like issuing one larger NVMe command.  What a walker needs is the
+ * one target slot its next draw reads when the app can name it
+ * (engine::SlotDrawApp), else its whole record (graph::kWholeRecord).
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_file.hpp"
@@ -28,7 +31,7 @@ namespace noswalker::storage {
  *
  * The buffer covers the page-aligned byte span of the block; in fine
  * mode only marked pages hold valid data and `vertex_loaded` reports
- * whether a vertex's record is fully resident.
+ * whether what a vertex's next event reads is resident.
  */
 class BlockBuffer {
   public:
@@ -40,14 +43,18 @@ class BlockBuffer {
     /** True when the whole block is resident (coarse load). */
     bool complete() const { return complete_; }
 
-    /** Whether vertex @p v's record is fully resident. */
+    /**
+     * Whether target slot @p slot of vertex @p v's record is resident —
+     * with the default graph::kWholeRecord, whether the whole record is.
+     */
     bool
-    vertex_loaded(const graph::GraphFile &file, graph::VertexId v) const
+    vertex_loaded(const graph::GraphFile &file, graph::VertexId v,
+                  std::uint32_t slot = graph::kWholeRecord) const
     {
         if (info_ == nullptr || !info_->contains(v)) {
             return false;
         }
-        return complete_ || pages_loaded(file, v);
+        return complete_ || pages_loaded(file, v, slot);
     }
 
     /** Decode vertex @p v. @pre vertex_loaded(file, v). */
@@ -93,9 +100,17 @@ class BlockBuffer {
   private:
     friend class BlockReader;
 
-    /** Fine mode: whether every page of @p v's record is marked. */
-    bool pages_loaded(const graph::GraphFile &file,
-                      graph::VertexId v) const;
+    /** Fine mode: whether every page holding @p slot of @p v's
+     *  record (all of it on kWholeRecord) is marked. */
+    bool pages_loaded(const graph::GraphFile &file, graph::VertexId v,
+                      std::uint32_t slot) const;
+
+    /** Pages [first, last] covering what @p v's event reads: target
+     *  @p slot, or the whole record on kWholeRecord.  first > last
+     *  when there is nothing to read (a dead end). */
+    std::pair<std::uint64_t, std::uint64_t>
+    page_range(const graph::GraphFile &file, graph::VertexId v,
+               std::uint32_t slot) const;
 
     const graph::BlockInfo *info_ = nullptr;
     std::uint64_t aligned_begin_ = 0;
@@ -144,24 +159,29 @@ class BlockReader {
     LoadResult load_coarse(const graph::BlockInfo &block, BlockBuffer &out);
 
     /**
-     * Load only the 4 KiB pages of @p block covering the records of
-     * @p needed_vertices (fine mode, §3.3.1).  Vertices outside the
-     * block are ignored.
+     * Load only the 4 KiB pages of @p block that @p needed_vertices'
+     * next events read (fine mode, §3.3.1): for each vertex the page
+     * holding its entry of @p slots, or its whole record where that
+     * entry is graph::kWholeRecord.  Empty @p slots means whole records
+     * for all.  Vertices outside the block are ignored.  A shared-cache
+     * hit copies only the marked pages.
      */
     LoadResult load_fine(const graph::BlockInfo &block,
                          std::span<const graph::VertexId> needed_vertices,
-                         BlockBuffer &out);
+                         BlockBuffer &out,
+                         std::span<const std::uint32_t> slots = {});
 
     /**
      * Narrow a coarse (complete) buffer of @p block to a fine-mode view
-     * exposing only the pages covering @p needed_vertices, without any
-     * I/O.  Bit-identical residency to a fresh load_fine of the same
-     * needed list — used to serve a fine demand from a speculatively
+     * exposing only the pages load_fine would mark for the same
+     * arguments, without any I/O.  Bit-identical residency to a fresh
+     * load_fine — used to serve a fine demand from a speculatively
      * coarse-loaded buffer.
      */
     void refine(const graph::BlockInfo &block,
                 std::span<const graph::VertexId> needed_vertices,
-                BlockBuffer &out) const;
+                BlockBuffer &out,
+                std::span<const std::uint32_t> slots = {}) const;
 
     /** The graph file being read. */
     const graph::GraphFile &file() const { return *file_; }
@@ -170,9 +190,12 @@ class BlockReader {
     /** Attach @p out to @p block and size its buffer (budgeted). */
     void prepare(const graph::BlockInfo &block, BlockBuffer &out);
 
-    /** Mark in @p out the pages covering each needed vertex's record. */
+    /** Mark in @p out the pages each needed vertex's event reads (its
+     *  slot's page, or its whole record on kWholeRecord or empty
+     *  @p slots). */
     void mark_needed_pages(const graph::BlockInfo &block,
                            std::span<const graph::VertexId> needed_vertices,
+                           std::span<const std::uint32_t> slots,
                            BlockBuffer &out) const;
 
     const graph::GraphFile *file_;

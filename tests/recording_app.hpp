@@ -110,6 +110,14 @@ class ConcurrentRecordingWalk {
         return view.prefetch_uniform_draw(probe);
     }
 
+    /** Slot hint, as BasicRandomWalk's: the bit-identity suites must
+     *  exercise slot-exact fine loads and residency too. */
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
     bool active(const WalkerT &w) const { return w.step < length_; }
 
     bool
@@ -132,13 +140,14 @@ class ConcurrentRecordingWalk {
 
 static_assert(engine::RandomWalkApp<ConcurrentRecordingWalk>);
 static_assert(engine::DrawHintApp<ConcurrentRecordingWalk>);
+static_assert(engine::SlotDrawApp<ConcurrentRecordingWalk>);
 
 /**
  * PersonalizedPageRank wrapper recording endpoints and atomic visit
  * counts (the app's own record_visits mode mutates an unordered_map in
  * action() and is not thread safe, so the suites use this instead).
- * Forwards the gather hints, so the step kernel exercises the
- * app-refined prefetch path.
+ * Forwards the gather and slot hints, so the step kernel exercises the
+ * app-refined prefetch path and slot-exact fine loads.
  */
 class RecordingPpr {
   public:
@@ -176,6 +185,12 @@ class RecordingPpr {
         return inner_.gather(w, view, probe);
     }
 
+    std::uint32_t
+    draw_slot(const WalkerT &w, std::uint32_t degree, util::Rng probe) const
+    {
+        return inner_.draw_slot(w, degree, probe);
+    }
+
     bool active(const WalkerT &w) const { return inner_.active(w); }
 
     bool
@@ -197,6 +212,7 @@ class RecordingPpr {
 static_assert(engine::RandomWalkApp<RecordingPpr>);
 static_assert(engine::GatherHintApp<RecordingPpr>);
 static_assert(engine::DrawHintApp<RecordingPpr>);
+static_assert(engine::SlotDrawApp<RecordingPpr>);
 
 /** Node2Vec wrapper recording the endpoint of every accepted move. */
 class RecordingNode2Vec {

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full build + test suite, a ThreadSanitizer
 # pass over the concurrent suites (the `tsan` test preset in
-# CMakePresets.json holds the list), a smoke run of the storage bench,
-# two shard_scaling runs whose migration traffic must repeat
-# (scripts/shard_scaling_check.sh), one service_throughput sweep (the
-# WalkService end to end; a non-zero exit fails), and the repository
+# CMakePresets.json holds the list), the bench smoke shared with CI
+# (scripts/bench_smoke.sh: the storage bench, a shard_scaling repeat
+# check and one service_throughput sweep), and the repository
 # benchmark's self-test plus short output-checked runs of
 # oc-node2vec-2shard and svc (scripts/walkbench_smoke.sh).
 #
@@ -26,9 +25,7 @@ ctest --preset tsan
 
 echo
 echo "== tier 1: bench smoke (micro_storage ablations + shard scaling repeat check + service sweep) =="
-./build/bench/micro_storage --benchmark_filter=BM_SsdModelRequest --benchmark_min_time=0.01 >/dev/null
-scripts/shard_scaling_check.sh build >/dev/null
-./build/bench/service_throughput >/dev/null
+scripts/bench_smoke.sh build >/dev/null
 
 echo
 echo "== tier 1: walkbench self-test + oc-node2vec-2shard and svc smoke =="

@@ -14,7 +14,7 @@ EngineConfig::validate() const
         throw util::ConfigError("EngineConfig: alpha must be positive");
     }
     if (presamples_per_vertex == 0 ||
-        max_presamples_per_vertex < presamples_per_vertex) {
+        presamples_per_vertex > kMaxPresamplesPerVertex) {
         throw util::ConfigError("EngineConfig: bad pre-sample quotas");
     }
     if (step_threads == 0) {
@@ -28,13 +28,10 @@ EngineConfig::validate() const
         throw util::ConfigError(
             "EngineConfig: num_shards must be in [1, 256]");
     }
-    // The fractions apply sequentially (pool from the post-index
-    // remainder, pre-samples from what is left after the pool), so
-    // each only needs to be a valid fraction on its own.
-    if (walker_memory_fraction <= 0.0 || walker_memory_fraction >= 1.0 ||
-        presample_memory_fraction < 0.0 ||
+    if (presample_memory_fraction < 0.0 ||
         presample_memory_fraction >= 1.0) {
-        throw util::ConfigError("EngineConfig: bad memory fractions");
+        throw util::ConfigError(
+            "EngineConfig: bad presample_memory_fraction");
     }
 }
 

@@ -9,6 +9,16 @@
 
 namespace noswalker::core {
 
+/** Hard cap on pre-samples one vertex may be allocated.  Hubs are
+ *  visited orders of magnitude more often than the mean, so the cap is
+ *  generous; the buffer byte budget is the real bound. */
+inline constexpr std::uint32_t kMaxPresamplesPerVertex = 1024;
+
+/** Fraction of the budget left after the CSR index and the block
+ *  buffers granted to the walker pool.  The paper's walker pools
+ *  "initially occupy most of the memory". */
+inline constexpr double kWalkerMemoryFraction = 0.5;
+
 /** Tunables of the NosWalker engine. */
 struct EngineConfig {
     /** Memory cap in bytes (0 = unlimited). */
@@ -24,13 +34,9 @@ struct EngineConfig {
      */
     std::uint64_t max_walkers = 0;
 
-    /** Base pre-samples per vertex before history reweighting. */
+    /** Base pre-samples per vertex before history reweighting
+     *  (at most kMaxPresamplesPerVertex). */
     std::uint32_t presamples_per_vertex = 4;
-
-    /** Hard cap on pre-samples one vertex may be allocated.  Hubs are
-     *  visited orders of magnitude more often than the mean, so the
-     *  cap is generous; the buffer byte budget is the real bound. */
-    std::uint32_t max_presamples_per_vertex = 1024;
 
     /**
      * Degree at or below which a vertex's full edge list is reserved
@@ -41,11 +47,6 @@ struct EngineConfig {
     /** Walker-distribution unevenness factor for the fine-mode switch
      *  α·|Wa|·4KiB < S_G (§3.3.1; paper default 4). */
     double alpha = 4.0;
-
-    /** Fraction of the budget left after the CSR index and the block
-     *  buffers granted to the walker pool.  The paper's walker pools
-     *  "initially occupy most of the memory". */
-    double walker_memory_fraction = 0.5;
 
     /** Fraction of the budget left after the walker pool reserved for
      *  pre-sample buffers.  A binding cap: the pool charges its own

@@ -19,10 +19,14 @@
  * function of the seed — walk output is bit-identical at 1, 2, or N
  * step threads.  Workers bank each walker's outcome in place — the
  * record in its input slot, its fate in a parallel dest array — and
- * count into thread-local StepDelta records; after the shard barrier
- * the scheduler thread folds the deltas and parks the banked records
- * in one index-order pass, keeping BlockScheduler and WalkerPool
- * single-writer.
+ * count into thread-local engine::RunStats deltas; after the shard
+ * barrier the scheduler thread adds the deltas' sums to the run and
+ * parks the banked records in one index-order pass, keeping
+ * BlockScheduler and WalkerPool single-writer.
+ *
+ * A run's I/O counters come from its own load results (the prefetch
+ * pipeline's totals), never from device-counter deltas: the device may
+ * be shared with concurrent engines, and cache hits never reach it.
  *
  * The Fig 14 breakdown knobs degrade the engine towards the paper's
  * "base implementation": walker_management=false materializes all
@@ -128,9 +132,7 @@ class NosWalkerEngine {
     /**
      * Attach a budget shared with other engines (the walk service's
      * admission-control pool).  When set, run() reserves from it
-     * instead of a run-local budget, and per-run I/O counters are
-     * accumulated locally instead of from shared device deltas.
-     * Pass nullptr to detach.
+     * instead of a run-local budget.  Pass nullptr to detach.
      */
     void set_shared_budget(util::MemoryBudget *budget)
     {
@@ -262,7 +264,6 @@ class NosWalkerEngine {
         PrefetchPipeline pipeline(
             loader, reader, buffer_pool, prefetch_slots_, shared_cache_,
             file_->device().model().queue_latency);
-        const storage::IoStats io_before = file_->device().stats();
 
         App &a = app;
         util::Timer cpu;
@@ -314,33 +315,13 @@ class NosWalkerEngine {
         }
         pipeline.finish();
 
-        finalize(budget, io_before, cpu_seconds, pipeline.stats());
+        finalize(budget, cpu_seconds, pipeline.stats());
     }
 
     /** The step loop (DESIGN.md §12) reads the engine's per-round
      *  state: residency, pre-sample buffers, shard ownership. */
     template <typename E>
     friend class StepKernel;
-
-    /**
-     * One step worker's private counters, folded into the engine by
-     * apply_delta() on the scheduler thread after the shard barrier.
-     * The walkers themselves are banked in place (step_records).
-     */
-    struct StepDelta {
-        std::uint64_t steps = 0;
-        std::uint64_t block_steps = 0;
-        std::uint64_t presample_steps = 0;
-        std::uint64_t stalls = 0;
-        std::uint64_t retired = 0;
-        std::uint64_t rejection_trials = 0;
-        std::uint64_t rejection_rejected = 0;
-        std::uint64_t kernel_cohorts = 0;
-        std::uint64_t kernel_prefetches = 0;
-        std::uint64_t kernel_scalar_fallbacks = 0;
-        /** Shard mode: walkers whose waiting block another shard owns. */
-        std::uint64_t emigrants = 0;
-    };
 
     /**
      * Hand the emigrants accumulated since the last flush to the
@@ -401,9 +382,6 @@ class NosWalkerEngine {
         scheduler_.reset();
         spill_.reset();
         swap_device_.reset();
-        local_io_bytes_ = 0;
-        local_io_requests_ = 0;
-        local_io_seconds_ = 0.0;
     }
 
     /** Reserve the fixed memory regions and create the components. */
@@ -450,7 +428,7 @@ class NosWalkerEngine {
                     budget.limit() == 0
                         ? std::uint64_t{1} << 18
                         : static_cast<std::uint64_t>(
-                              config_.walker_memory_fraction *
+                              kWalkerMemoryFraction *
                               static_cast<double>(rest)) /
                               sizeof(Record);
                 cap = std::max<std::uint64_t>(
@@ -469,7 +447,7 @@ class NosWalkerEngine {
                 budget.limit() == 0
                     ? total * sizeof(Record)
                     : static_cast<std::uint64_t>(
-                          config_.walker_memory_fraction *
+                          kWalkerMemoryFraction *
                           static_cast<double>(rest)));
             const std::uint64_t resident_cap =
                 std::max<std::uint64_t>(1, buffer_bytes / sizeof(Record));
@@ -502,7 +480,7 @@ class NosWalkerEngine {
             // arbitrate the rest (§3.3.3).
             params.max_bytes = std::max<std::uint64_t>(4096, ps_total / 4);
             params.base_quota = config_.presamples_per_vertex;
-            params.max_quota = config_.max_presamples_per_vertex;
+            params.max_quota = kMaxPresamplesPerVertex;
             params.low_degree_cutoff = config_.low_degree_cutoff;
             // Claim the pool share up front and hand the buffers their
             // own accountant: fills then compete only with each other
@@ -537,7 +515,6 @@ class NosWalkerEngine {
                     "speculation buffers");
             }
         }
-        budget_ = &budget;
         stats_.pipelined = !single_buffer_;
 
         if (config_.step_threads > 1) {
@@ -804,12 +781,14 @@ class NosWalkerEngine {
             dest_.resize(records.size());
         }
         const std::size_t shards = shard_count(records.size());
+        // Each worker counts into its own delta; only the sums fold
+        // into the run (a delta's label, flags and peaks are defaults).
         if (shards <= 1) {
-            StepDelta delta;
+            engine::RunStats delta;
             step_span(app, records, 0, records.size(), resp, delta);
-            apply_delta(delta);
+            stats_.add_sums(delta);
         } else {
-            std::vector<StepDelta> deltas(shards);
+            std::vector<engine::RunStats> deltas(shards);
             const std::size_t per =
                 (records.size() + shards - 1) / shards;
             step_pool_->run(shards, [&](std::size_t s) {
@@ -818,8 +797,8 @@ class NosWalkerEngine {
                     std::min(records.size(), begin + per);
                 step_span(app, records, begin, end, resp, deltas[s]);
             });
-            for (const StepDelta &delta : deltas) {
-                apply_delta(delta);
+            for (const engine::RunStats &delta : deltas) {
+                stats_.add_sums(delta);
             }
         }
         // Shard barrier passed.  Spans are contiguous slices of
@@ -845,7 +824,7 @@ class NosWalkerEngine {
     void
     step_span(App &app, std::vector<Record> &records, std::size_t begin,
               std::size_t end, const storage::AsyncLoader::Response *resp,
-              StepDelta &delta)
+              engine::RunStats &delta)
     {
         if (begin >= end) {
             return;
@@ -858,38 +837,24 @@ class NosWalkerEngine {
             resp != nullptr ? &resp->buffer : nullptr, delta);
     }
 
-    /** Fold one worker's counters into the engine (scheduler thread). */
-    void
-    apply_delta(const StepDelta &delta)
-    {
-        stats_.steps += delta.steps;
-        stats_.block_steps += delta.block_steps;
-        stats_.presample_steps += delta.presample_steps;
-        stats_.stalls += delta.stalls;
-        stats_.rejection_trials += delta.rejection_trials;
-        stats_.rejection_rejected += delta.rejection_rejected;
-        stats_.kernel_cohorts += delta.kernel_cohorts;
-        stats_.kernel_prefetches += delta.kernel_prefetches;
-        stats_.kernel_scalar_fallbacks += delta.kernel_scalar_fallbacks;
-        stats_.walkers += delta.retired;
-        // Emigrants free their pool slot without retiring: their walk
-        // continues on the owning shard next round.
-        pool_->retire_n(delta.retired + delta.emigrants);
-    }
-
     /**
      * Act on every banked fate in index order (scheduler thread): park
-     * at the destination block, or append to the shard outbox.
+     * at the destination block, or append to the shard outbox.  Retired
+     * walkers and emigrants free their pool slots; an emigrant is not
+     * retired — its walk continues on the owning shard next round.
      */
     void
     park_banked(std::vector<Record> &records)
     {
+        std::uint64_t freed = 0;
         for (std::size_t i = 0; i < records.size(); ++i) {
             const std::uint32_t block = dest_[i];
             if (block == kDestRetired) {
+                ++freed;
                 continue;
             }
             if (block == kDestEmigrant) {
+                ++freed;
                 emigrants_.push_back(std::move(records[i]));
                 continue;
             }
@@ -899,15 +864,17 @@ class NosWalkerEngine {
                 spill_->park(block, 1);
             }
         }
+        pool_->retire_n(freed);
     }
 
     void
-    finalize(util::MemoryBudget &budget, const storage::IoStats &before,
-             double cpu_seconds, const PrefetchPipeline::Stats &pipeline)
+    finalize(util::MemoryBudget &budget, double cpu_seconds,
+             const PrefetchPipeline::Stats &pipeline)
     {
         // The pipeline accounts every consumed response — including
         // speculative loads demoted unprocessed — so its totals are
-        // the run's I/O attribution.
+        // the run's I/O attribution, even when other engines read the
+        // same device or a shared cache serves some loads.
         stats_.blocks_loaded = pipeline.coarse_loads;
         stats_.fine_loads = pipeline.fine_loads;
         stats_.cache_hit_blocks = pipeline.cache_hit_loads;
@@ -921,25 +888,9 @@ class NosWalkerEngine {
         stats_.prefetch_hits = pipeline.prefetch_hits;
         stats_.prefetch_mispredicts = pipeline.prefetch_mispredicts;
         stats_.io_wait_seconds = pipeline.io_wait_seconds;
-        local_io_bytes_ = pipeline.bytes_read;
-        local_io_requests_ = pipeline.read_requests;
-        local_io_seconds_ = pipeline.modeled_io_seconds;
-        if (shared_budget_ != nullptr || shared_cache_ != nullptr) {
-            // Device counters are shared with concurrent engines (and
-            // cache hits never reach the device), so attribute I/O
-            // from this run's own load results.
-            stats_.graph_bytes_read = local_io_bytes_;
-            stats_.graph_read_requests = local_io_requests_;
-            stats_.io_busy_seconds = local_io_seconds_;
-        } else {
-            const storage::IoStats after = file_->device().stats();
-            stats_.graph_bytes_read =
-                after.bytes_read - before.bytes_read;
-            stats_.graph_read_requests =
-                after.read_requests - before.read_requests;
-            stats_.io_busy_seconds =
-                after.busy_seconds - before.busy_seconds;
-        }
+        stats_.graph_bytes_read = pipeline.bytes_read;
+        stats_.graph_read_requests = pipeline.read_requests;
+        stats_.io_busy_seconds = pipeline.modeled_io_seconds;
         stats_.edges_loaded =
             stats_.graph_bytes_read / file_->record_bytes();
         if (spill_) {
@@ -995,11 +946,7 @@ class NosWalkerEngine {
 
     util::MemoryBudget *shared_budget_ = nullptr;
     storage::SharedBlockCache *shared_cache_ = nullptr;
-    std::uint64_t local_io_bytes_ = 0;
-    std::uint64_t local_io_requests_ = 0;
-    double local_io_seconds_ = 0.0;
 
-    util::MemoryBudget *budget_ = nullptr;
     util::MemoryBudget unbudgeted_{0};
     bool single_buffer_ = false;
     /** Speculative lookahead slots after budget auto-shrink (§10). */

@@ -56,6 +56,7 @@
 
 #include "core/presample_buffer.hpp"
 #include "engine/app.hpp"
+#include "engine/run_stats.hpp"
 #include "graph/graph_file.hpp"
 #include "storage/block_reader.hpp"
 #include "util/prefetch.hpp"
@@ -73,15 +74,15 @@ inline constexpr std::uint32_t kDestEmigrant = kDestRetired - 1;
  * The step loop over one worker shard's records.
  *
  * @tparam E  the owning NosWalkerEngine instantiation (friend access:
- *            the kernel reads the engine's per-round state and fills
- *            its StepDelta).
+ *            the kernel reads the engine's per-round state).
  */
 template <typename E>
 class StepKernel {
   public:
     using App = typename E::AppT;
     using Record = typename E::Record;
-    using Delta = typename E::StepDelta;
+    /** A step worker's counters: retired walkers count in walkers. */
+    using Delta = engine::RunStats;
 
     /** Lanes in the ring (DESIGN.md §12). */
     static constexpr std::size_t kLanes = 16;
@@ -408,7 +409,7 @@ class StepKernel {
         Record &rec = lane.rec;
         switch (lane.source) {
         case Source::kRetire:
-            ++delta.retired;
+            ++delta.walkers;
             dest[lane.slot] = kDestRetired;
             return false;
         case Source::kCandidate:
@@ -422,7 +423,7 @@ class StepKernel {
                     ++delta.rejection_rejected;
                 }
                 if (!app.active(rec.w)) {
-                    ++delta.retired;
+                    ++delta.walkers;
                     dest[lane.slot] = kDestRetired;
                     return false;
                 }
@@ -468,7 +469,6 @@ class StepKernel {
                 lane.ps->record_visit(lane.v);
             }
             if (!eng.owns_block(lane.block)) {
-                ++delta.emigrants;
                 dest[lane.slot] = kDestEmigrant;
             } else {
                 dest[lane.slot] = lane.block;

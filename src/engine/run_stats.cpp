@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 
 namespace noswalker::engine {
 
@@ -37,129 +39,163 @@ RunStats::step_rate() const
     return t <= 0.0 ? 0.0 : static_cast<double>(steps) / t;
 }
 
+namespace {
+
+/** How operator+= folds a RunStats field, and whether scaled() splits
+ *  it (only kSum fields are split). */
+enum class Fold {
+    kSum,   ///< additive work: summed
+    kMax,   ///< peaks and rates: the larger value
+    kOr,    ///< flags: logical or
+    kLabel, ///< the engine name: kept when equal, else "mixed"
+};
+
+/** One row of the field table: a member and its fold rule. */
+template <typename T>
+struct RunStatsField {
+    const char *name;
+    T RunStats::*member;
+    Fold fold;
+};
+
+/**
+ * Every RunStats field once, in to_string() order: ROW(member, fold)
+ * is the member's name, pointer and fold rule.  operator+=, add_sums(),
+ * scaled() and to_string() are derived from this table, so a new
+ * counter takes its declaration in run_stats.hpp plus one row here.
+ */
+#define ROW(member, fold) \
+    RunStatsField{#member, &RunStats::member, Fold::fold}
+constexpr std::tuple kRunStatsFields{
+    ROW(engine, kLabel),
+    ROW(walkers, kSum),
+    ROW(steps, kSum),
+    ROW(graph_bytes_read, kSum),
+    ROW(graph_read_requests, kSum),
+    ROW(edges_loaded, kSum),
+    ROW(swap_bytes, kSum),
+    ROW(blocks_loaded, kSum),
+    ROW(fine_loads, kSum),
+    ROW(cache_hit_blocks, kSum),
+    ROW(cache_miss_blocks, kSum),
+    ROW(prefetch_hits, kSum),
+    ROW(prefetch_mispredicts, kSum),
+    ROW(planned_loads, kSum),
+    ROW(plan_rescores, kSum),
+    ROW(plan_cache_credits, kSum),
+    ROW(migrations, kSum),
+    ROW(migration_batches, kSum),
+    ROW(kernel_cohorts, kSum),
+    ROW(kernel_prefetches, kSum),
+    ROW(kernel_scalar_fallbacks, kSum),
+    ROW(presample_steps, kSum),
+    ROW(block_steps, kSum),
+    ROW(stalls, kSum),
+    ROW(rejection_trials, kSum),
+    ROW(rejection_rejected, kSum),
+    ROW(cpu_seconds, kSum),
+    ROW(io_busy_seconds, kSum),
+    ROW(io_wait_seconds, kSum),
+    ROW(migration_wait_seconds, kSum),
+    ROW(migration_overlap_seconds, kSum),
+    ROW(io_efficiency, kMax),
+    ROW(pipelined, kOr),
+    ROW(wall_seconds, kSum),
+    ROW(peak_memory, kMax),
+    ROW(presample_bytes_used, kMax),
+    ROW(presample_bytes_total, kMax),
+};
+#undef ROW
+
+/** Call @p f on each row of kRunStatsFields, in table order. */
+template <typename F>
+constexpr void
+for_each_field(F &&f)
+{
+    std::apply([&f](const auto &...row) { (f(row), ...); },
+               kRunStatsFields);
+}
+
+/** Fold one field of @p from into @p into by @p fold (operator+=). */
+template <typename T>
+void
+fold_field(T &into, const T &from, Fold fold)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (into.empty()) {
+            into = from;
+        } else if (!from.empty() && from != into) {
+            into = "mixed";
+        }
+    } else if constexpr (std::is_same_v<T, bool>) {
+        into = into || from;
+    } else {
+        into = fold == Fold::kSum ? into + from : std::max(into, from);
+    }
+}
+
+} // namespace
+
 RunStats &
 RunStats::operator+=(const RunStats &other)
 {
-    if (engine.empty()) {
-        engine = other.engine;
-    } else if (!other.engine.empty() && other.engine != engine) {
-        engine = "mixed";
-    }
-    walkers += other.walkers;
-    steps += other.steps;
-    graph_bytes_read += other.graph_bytes_read;
-    graph_read_requests += other.graph_read_requests;
-    edges_loaded += other.edges_loaded;
-    swap_bytes += other.swap_bytes;
-    blocks_loaded += other.blocks_loaded;
-    fine_loads += other.fine_loads;
-    cache_hit_blocks += other.cache_hit_blocks;
-    cache_miss_blocks += other.cache_miss_blocks;
-    prefetch_hits += other.prefetch_hits;
-    prefetch_mispredicts += other.prefetch_mispredicts;
-    planned_loads += other.planned_loads;
-    plan_rescores += other.plan_rescores;
-    plan_cache_credits += other.plan_cache_credits;
-    migrations += other.migrations;
-    migration_batches += other.migration_batches;
-    kernel_cohorts += other.kernel_cohorts;
-    kernel_prefetches += other.kernel_prefetches;
-    kernel_scalar_fallbacks += other.kernel_scalar_fallbacks;
-    presample_steps += other.presample_steps;
-    block_steps += other.block_steps;
-    stalls += other.stalls;
-    rejection_trials += other.rejection_trials;
-    rejection_rejected += other.rejection_rejected;
-    cpu_seconds += other.cpu_seconds;
-    io_busy_seconds += other.io_busy_seconds;
-    io_wait_seconds += other.io_wait_seconds;
-    migration_wait_seconds += other.migration_wait_seconds;
-    migration_overlap_seconds += other.migration_overlap_seconds;
-    wall_seconds += other.wall_seconds;
-    pipelined = pipelined || other.pipelined;
-    io_efficiency = std::max(io_efficiency, other.io_efficiency);
-    peak_memory = std::max(peak_memory, other.peak_memory);
-    presample_bytes_used =
-        std::max(presample_bytes_used, other.presample_bytes_used);
-    presample_bytes_total =
-        std::max(presample_bytes_total, other.presample_bytes_total);
+    for_each_field([&](const auto &f) {
+        fold_field(this->*f.member, other.*f.member, f.fold);
+    });
+    return *this;
+}
+
+RunStats &
+RunStats::add_sums(const RunStats &other)
+{
+    for_each_field([&](const auto &f) {
+        if (f.fold == Fold::kSum) {
+            fold_field(this->*f.member, other.*f.member, f.fold);
+        }
+    });
     return *this;
 }
 
 RunStats
 RunStats::scaled(double fraction) const
 {
-    const auto part = [fraction](std::uint64_t v) {
-        return static_cast<std::uint64_t>(
-            static_cast<double>(v) * fraction + 0.5);
-    };
     RunStats out = *this;
-    out.walkers = part(walkers);
-    out.steps = part(steps);
-    out.graph_bytes_read = part(graph_bytes_read);
-    out.graph_read_requests = part(graph_read_requests);
-    out.edges_loaded = part(edges_loaded);
-    out.swap_bytes = part(swap_bytes);
-    out.blocks_loaded = part(blocks_loaded);
-    out.fine_loads = part(fine_loads);
-    out.cache_hit_blocks = part(cache_hit_blocks);
-    out.cache_miss_blocks = part(cache_miss_blocks);
-    out.prefetch_hits = part(prefetch_hits);
-    out.prefetch_mispredicts = part(prefetch_mispredicts);
-    out.planned_loads = part(planned_loads);
-    out.plan_rescores = part(plan_rescores);
-    out.plan_cache_credits = part(plan_cache_credits);
-    out.migrations = part(migrations);
-    out.migration_batches = part(migration_batches);
-    out.kernel_cohorts = part(kernel_cohorts);
-    out.kernel_prefetches = part(kernel_prefetches);
-    out.kernel_scalar_fallbacks = part(kernel_scalar_fallbacks);
-    out.presample_steps = part(presample_steps);
-    out.block_steps = part(block_steps);
-    out.stalls = part(stalls);
-    out.rejection_trials = part(rejection_trials);
-    out.rejection_rejected = part(rejection_rejected);
-    out.cpu_seconds = cpu_seconds * fraction;
-    out.io_busy_seconds = io_busy_seconds * fraction;
-    out.io_wait_seconds = io_wait_seconds * fraction;
-    out.migration_wait_seconds = migration_wait_seconds * fraction;
-    out.migration_overlap_seconds = migration_overlap_seconds * fraction;
-    out.wall_seconds = wall_seconds * fraction;
+    for_each_field([&](const auto &f) {
+        using T = std::remove_cvref_t<decltype(out.*f.member)>;
+        if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+            if (f.fold != Fold::kSum) {
+                return;
+            }
+            const double part =
+                static_cast<double>(this->*f.member) * fraction;
+            // Counters round half up; times scale exactly.
+            out.*f.member = std::is_integral_v<T>
+                                ? static_cast<T>(part + 0.5)
+                                : static_cast<T>(part);
+        }
+    });
     return out;
 }
 
 std::string
 RunStats::to_string() const
 {
+    // name=value for every field, wrapped to 78 columns with
+    // two-space continuation lines, then the derived rates.
     std::ostringstream out;
-    out << "engine=" << engine << " walkers=" << walkers
-        << " steps=" << steps << "\n"
-        << "  graph_bytes=" << graph_bytes_read
-        << " requests=" << graph_read_requests
-        << " edges_loaded=" << edges_loaded << " swap_bytes=" << swap_bytes
-        << "\n"
-        << "  blocks=" << blocks_loaded << " fine_loads=" << fine_loads
-        << " cache_hits=" << cache_hit_blocks
-        << " cache_misses=" << cache_miss_blocks
-        << " prefetch_hits=" << prefetch_hits
-        << " mispredicts=" << prefetch_mispredicts
-        << " presample_steps=" << presample_steps
-        << " block_steps=" << block_steps << " stalls=" << stalls << "\n"
-        << "  migrations=" << migrations
-        << " migration_batches=" << migration_batches
-        << " migration_wait_s=" << migration_wait_seconds
-        << " migration_overlap_s=" << migration_overlap_seconds << "\n"
-        << "  kernel_cohorts=" << kernel_cohorts
-        << " kernel_prefetches=" << kernel_prefetches
-        << " kernel_scalar_fallbacks=" << kernel_scalar_fallbacks << "\n"
-        << "  cpu_s=" << cpu_seconds << " io_busy_s=" << io_busy_seconds
-        << " io_wait_s=" << io_wait_seconds
-        << " eff=" << io_efficiency << " modeled_s=" << modeled_seconds()
-        << " wall_s=" << wall_seconds << "\n"
-        << "  edges/step=" << edges_per_step()
-        << " steps/s=" << step_rate() << " peak_mem=" << peak_memory
-        << " ps_mem=" << presample_bytes_used << "/"
-        << presample_bytes_total;
+    std::string line;
+    for_each_field([&](const auto &f) {
+        std::ostringstream token;
+        token << std::boolalpha << f.name << '=' << this->*f.member;
+        const std::string word = token.str();
+        if (!line.empty() && line.size() + 1 + word.size() > 78) {
+            out << line << '\n';
+            line = " ";
+        }
+        line += (line.empty() ? "" : " ") + word;
+    });
+    out << line << "\n  modeled_s=" << modeled_seconds()
+        << " edges/step=" << edges_per_step() << " steps/s=" << step_rate();
     return out.str();
 }
 

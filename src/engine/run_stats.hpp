@@ -15,7 +15,13 @@
 
 namespace noswalker::engine {
 
-/** Counters and timings of one random walk run. */
+/**
+ * Counters and timings of one random walk run.
+ *
+ * Each field also has one row in the field table in run_stats.cpp,
+ * which names its fold rule (sum, max, or, label); operator+=,
+ * add_sums(), scaled() and to_string() are derived from that table.
+ */
 struct RunStats {
     /** Engine name for reports. */
     std::string engine;
@@ -129,17 +135,26 @@ struct RunStats {
     }
 
     /**
-     * Accumulate @p other into this record (per-tenant aggregation in
-     * the walk service).  Additive counters and times sum, peak memory
-     * takes the max, and the engine label is kept when it matches
-     * (otherwise it becomes "mixed").
+     * Fold @p other into this record by each field's rule in the field
+     * table: additive counters and times sum, peaks and the
+     * I/O efficiency take the max, the pipelined flag ORs, and the
+     * engine label is kept when it matches (otherwise it becomes
+     * "mixed").  Used for per-tenant and fleet totals.
      */
     RunStats &operator+=(const RunStats &other);
 
     /**
+     * Add only @p other's summed fields (counters and times), leaving
+     * the label, the flag, the peaks and io_efficiency untouched.  Folds a step worker's
+     * counters, which start from a default record, into a run.
+     */
+    RunStats &add_sums(const RunStats &other);
+
+    /**
      * This record scaled by @p fraction: additive counters and times
-     * are multiplied, rates/flags/peaks are kept.  Used to slice a
-     * batched run's cost across the requests coalesced into it.
+     * are multiplied (counters round half up), every other field is
+     * kept.  Used to slice a batched run's cost across the requests
+     * coalesced into it.
      */
     RunStats scaled(double fraction) const;
 

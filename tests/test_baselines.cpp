@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/basic_rw.hpp"
 #include "baselines/drunkardmob.hpp"
@@ -443,6 +446,90 @@ TEST(RunStats, DerivedMetrics)
     EXPECT_DOUBLE_EQ(s.edges_per_step(), 25.0);
     EXPECT_EQ(s.total_io_bytes(), 16000u);
     EXPECT_FALSE(s.to_string().empty());
+}
+
+/** Whether @p token appears in @p dump as a whole space- or
+ *  newline-separated word. */
+bool
+has_word(const std::string &dump, const std::string &token)
+{
+    for (std::size_t at = dump.find(token); at != std::string::npos;
+         at = dump.find(token, at + 1)) {
+        const std::size_t end = at + token.size();
+        const bool starts =
+            at == 0 || dump[at - 1] == ' ' || dump[at - 1] == '\n';
+        const bool ends =
+            end == dump.size() || dump[end] == ' ' || dump[end] == '\n';
+        if (starts && ends) {
+            return true;
+        }
+    }
+    return false;
+}
+
+TEST(RunStats, ToStringNamesEveryField)
+{
+    // Every field prints as name=value, so a dumped record is complete:
+    // each gets a distinct value here, which also catches a name wired
+    // to the wrong member.
+    engine::RunStats s;
+    s.engine = "NosWalker";
+    s.pipelined = true;
+    const std::vector<std::pair<std::string, std::uint64_t *>> counters = {
+        {"walkers", &s.walkers},
+        {"steps", &s.steps},
+        {"graph_bytes_read", &s.graph_bytes_read},
+        {"graph_read_requests", &s.graph_read_requests},
+        {"edges_loaded", &s.edges_loaded},
+        {"swap_bytes", &s.swap_bytes},
+        {"blocks_loaded", &s.blocks_loaded},
+        {"fine_loads", &s.fine_loads},
+        {"cache_hit_blocks", &s.cache_hit_blocks},
+        {"cache_miss_blocks", &s.cache_miss_blocks},
+        {"prefetch_hits", &s.prefetch_hits},
+        {"prefetch_mispredicts", &s.prefetch_mispredicts},
+        {"planned_loads", &s.planned_loads},
+        {"plan_rescores", &s.plan_rescores},
+        {"plan_cache_credits", &s.plan_cache_credits},
+        {"migrations", &s.migrations},
+        {"migration_batches", &s.migration_batches},
+        {"kernel_cohorts", &s.kernel_cohorts},
+        {"kernel_prefetches", &s.kernel_prefetches},
+        {"kernel_scalar_fallbacks", &s.kernel_scalar_fallbacks},
+        {"presample_steps", &s.presample_steps},
+        {"block_steps", &s.block_steps},
+        {"stalls", &s.stalls},
+        {"rejection_trials", &s.rejection_trials},
+        {"rejection_rejected", &s.rejection_rejected},
+        {"peak_memory", &s.peak_memory},
+        {"presample_bytes_used", &s.presample_bytes_used},
+        {"presample_bytes_total", &s.presample_bytes_total},
+    };
+    const std::vector<std::pair<std::string, double *>> times = {
+        {"cpu_seconds", &s.cpu_seconds},
+        {"io_busy_seconds", &s.io_busy_seconds},
+        {"io_wait_seconds", &s.io_wait_seconds},
+        {"migration_wait_seconds", &s.migration_wait_seconds},
+        {"migration_overlap_seconds", &s.migration_overlap_seconds},
+        {"io_efficiency", &s.io_efficiency},
+        {"wall_seconds", &s.wall_seconds},
+    };
+    std::vector<std::string> words = {"engine=NosWalker", "pipelined=true"};
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+        *counters[i].second = 1000 + i;
+        words.push_back(counters[i].first + "=" + std::to_string(1000 + i));
+    }
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        *times[i].second = 0.5 + static_cast<double>(i);
+        words.push_back(times[i].first + "=" + std::to_string(i) + ".5");
+    }
+    ASSERT_EQ(words.size(), 37u) << "one word per RunStats field";
+
+    const std::string dump = s.to_string();
+    for (const std::string &word : words) {
+        EXPECT_TRUE(has_word(dump, word)) << word << " missing in\n"
+                                          << dump;
+    }
 }
 
 } // namespace

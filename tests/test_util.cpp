@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the util substrate: RNG, alias tables, bitmaps,
- * memory budget, blocking queue, stats registry.
+ * memory budget, blocking queue, timers.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "util/error.hpp"
 #include "util/memory_budget.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace noswalker::util {
@@ -437,25 +436,6 @@ TEST(BlockingQueue, TryPopEmpty)
     auto v = q.try_pop();
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, 9);
-}
-
-TEST(StatsRegistry, AddGetMerge)
-{
-    StatsRegistry a;
-    a.add("x");
-    a.add("x", 4);
-    a.set("y", 7);
-    EXPECT_EQ(a.get("x"), 5u);
-    EXPECT_EQ(a.get("y"), 7u);
-    EXPECT_EQ(a.get("missing"), 0u);
-
-    StatsRegistry b;
-    b.add("x", 10);
-    b.add("z", 1);
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 15u);
-    EXPECT_EQ(a.get("z"), 1u);
-    EXPECT_NE(a.to_string().find("x=15"), std::string::npos);
 }
 
 TEST(Timer, MeasuresElapsed)

@@ -6,8 +6,7 @@
  * loaded-block-as-presamples optimization (§3.3.5), and the parallel
  * stepping path (step_threads scaling on an in-cache workload).
  *
- * Pass `--json <path>` to also write the results as a JSON array
- * (scripts/bench_snapshot.sh).
+ * Pass `--json <path>` to also write the results as a JSON array.
  */
 #include <cstdio>
 

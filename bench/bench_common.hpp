@@ -110,8 +110,8 @@ struct JsonRecord {
 /**
  * Optional `--json <path>` sink for bench binaries: collects one
  * JsonRecord per run and writes them as a JSON array on flush (or
- * destruction), so scripts/bench_snapshot.sh can archive comparable
- * numbers across commits.  Inactive (no-op) unless --json was passed.
+ * destruction), so runs of two commits can be compared field by
+ * field.  Inactive (no-op) unless --json was passed.
  * Serialization is hand-rolled — no external dependencies.
  */
 class JsonReporter {

@@ -5,8 +5,7 @@
  * recycling buffer pool, alias sampling, pre-sample buffer operations,
  * and the RNG.  After the microbenchmarks, a prefetch-depth ablation
  * runs the full engine at depth 0/1/2/4 and reports the modeled
- * io_wait per depth; pass `--json <path>` to archive it
- * (scripts/bench_snapshot.sh).
+ * io_wait per depth; pass `--json <path>` to also write it as JSON.
  */
 #include <benchmark/benchmark.h>
 

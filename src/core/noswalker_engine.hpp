@@ -103,6 +103,18 @@ index_charge(const graph::GraphFile &file,
 }
 
 /**
+ * Bytes of one resident block buffer: the largest block of
+ * @p partition rounded out to whole pages, plus the page a block's
+ * unaligned start and end can add.
+ */
+inline std::uint64_t
+block_buffer_bytes(const graph::BlockPartition &partition)
+{
+    const std::uint64_t page = storage::BlockReader::kPageBytes;
+    return (partition.max_block_bytes() / page + 2) * page;
+}
+
+/**
  * Walker-oriented out-of-core random walk engine.
  *
  * @tparam App  a RandomWalkApp (optionally SecondOrderApp).
@@ -274,6 +286,8 @@ class NosWalkerEngine {
         admit_walkers(a, nullptr);
         cpu_seconds += cpu.seconds();
 
+        std::vector<storage::AsyncLoader::Request> round;
+        std::vector<storage::AsyncLoader::Response> responses;
         while (generated_ < total_ || pool_->live() > 0) {
             pipeline.poll();
             const std::uint32_t target = choose_block();
@@ -285,26 +299,42 @@ class NosWalkerEngine {
                 flush_emigrants();
                 continue;
             }
-            // The processed block is always the hottest at choice time
-            // — a pure function of (seed, app, graph), never of the
-            // prefetch depth.  Speculation only changes how its bytes
+            // The processed blocks are the hottest at choice time — a
+            // pure function of (seed, app, graph), never of the
+            // prefetch depth.  Speculation only changes how their bytes
             // arrive, so walk output is bit-identical at every depth.
-            auto response = pipeline.obtain(make_request(target));
-
-            cpu.reset();
-            if (scheduler_->count(target) > 0) {
-                process_block(a, response);
-            } else {
-                // Stale load: walkers left before the bytes arrived.
-                ++stats_.stalls;
+            // A fine round (DESIGN.md §12) also takes the next-hottest
+            // busy block into the baseline pair's second buffer, its
+            // needed list frozen now, so both page reads share one
+            // queue latency.  Single-buffered engines load one block.
+            round.clear();
+            round.push_back(make_request(target));
+            if (round.front().fine && !single_buffer_) {
+                const std::uint32_t next =
+                    scheduler_->hottest_excluding(target);
+                if (next != BlockScheduler::kNoBlock) {
+                    round.push_back(make_request(next));
+                }
             }
-            admit_walkers(a, &response);
-            cpu_seconds += cpu.seconds();
-            // Per-bucket flush point (§11): every emigrant merged by
-            // this iteration ships now, while later buckets still step.
-            flush_emigrants();
+            pipeline.obtain_round(round, responses);
 
-            pipeline.recycle(std::move(response.buffer));
+            for (storage::AsyncLoader::Response &response : responses) {
+                cpu.reset();
+                if (scheduler_->count(response.block->id) > 0) {
+                    process_block(a, response);
+                } else {
+                    // Stale load: walkers left before the bytes
+                    // arrived.
+                    ++stats_.stalls;
+                }
+                admit_walkers(a, &response);
+                cpu_seconds += cpu.seconds();
+                // Per-bucket flush point (§11): every emigrant merged
+                // by this bucket ships now, while later buckets still
+                // step.
+                flush_emigrants();
+                pipeline.recycle(std::move(response.buffer));
+            }
             pipeline.sweep(*scheduler_);
 
             // Nominate the lookahead *after* this round's parking: the
@@ -405,9 +435,7 @@ class NosWalkerEngine {
         // whatever the walker pool and pre-sample pool leave over, so
         // the walker cap and pre-sample sizing — and therefore the
         // walk schedule — never depend on prefetch_depth.
-        const std::uint64_t page = storage::BlockReader::kPageBytes;
-        const std::uint64_t aligned =
-            (partition_->max_block_bytes() / page + 2) * page;
+        const std::uint64_t aligned = block_buffer_bytes(*partition_);
         const std::uint64_t buffer_share = (budget.available() * 35) / 100;
         single_buffer_ =
             budget.limit() != 0 && 2 * aligned > buffer_share;
@@ -419,7 +447,7 @@ class NosWalkerEngine {
         const std::uint32_t num_blocks = partition_->num_blocks();
         scheduler_ = std::make_unique<BlockScheduler>(
             num_blocks, config_.alpha, file_->edge_region_bytes(),
-            static_cast<std::uint32_t>(page));
+            static_cast<std::uint32_t>(storage::BlockReader::kPageBytes));
 
         if (config_.walker_management) {
             std::uint64_t cap = config_.max_walkers;

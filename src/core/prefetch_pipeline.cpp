@@ -182,31 +182,10 @@ PrefetchPipeline::adapt(storage::AsyncLoader::Response response,
     return response;
 }
 
-storage::AsyncLoader::Response
-PrefetchPipeline::obtain(storage::AsyncLoader::Request demand)
+PrefetchPipeline::Parked
+PrefetchPipeline::take_covered(const storage::AsyncLoader::Request &demand)
 {
-    NOSWALKER_CHECK(demand.block != nullptr);
     const std::uint32_t id = demand.block->id;
-
-    if (!covers(id)) {
-        // A demand load runs where it is waited for, after the FIFO
-        // ahead of it: bank every older ticket (no charge — this load's
-        // FIFO bound covers them), then load on this thread, where the
-        // loader thread could overlap it with nothing.
-        ++stats_.demand_loads;
-        while (loader_->outstanding()) {
-            bank_next_blocking();
-        }
-        const double submitted = now_;
-        storage::AsyncLoader::Response response =
-            loader_->load_now(std::move(demand));
-        banked_ready_ =
-            std::max(banked_ready_, finish_time(response, submitted));
-        account(response);
-        charge_wait(banked_ready_);
-        return response;
-    }
-
     Parked parked;
     if (const auto it = stash_.find(id); it != stash_.end()) {
         parked = std::move(it->second);
@@ -221,9 +200,84 @@ PrefetchPipeline::obtain(storage::AsyncLoader::Request demand)
         parked = std::move(banked->second);
         admitted_.erase(banked);
     }
-    charge_wait(parked.ready_at);
     ++stats_.prefetch_hits;
-    return adapt(std::move(parked.response), demand);
+    parked.response = adapt(std::move(parked.response), demand);
+    return parked;
+}
+
+void
+PrefetchPipeline::make_room(std::size_t served, std::size_t demand_loads)
+{
+    // Nothing is in flight here: obtain_round banked it all.  Demoted
+    // stash entries go first (already counted as mispredicts), then
+    // banked speculation, each smallest id first as sweep() evicts.
+    const std::size_t reserved = std::max<std::size_t>(depth_, 1) + 1;
+    while (admitted_.size() + stash_.size() + served + demand_loads >
+           reserved) {
+        std::map<std::uint32_t, Parked> &held =
+            stash_.empty() ? admitted_ : stash_;
+        NOSWALKER_CHECK(!held.empty());
+        if (&held == &admitted_) {
+            ++stats_.prefetch_mispredicts;
+        }
+        recycle(std::move(held.begin()->second.response.buffer));
+        held.erase(held.begin());
+    }
+}
+
+void
+PrefetchPipeline::obtain_round(
+    std::span<storage::AsyncLoader::Request> demands,
+    std::vector<storage::AsyncLoader::Response> &out)
+{
+    out.clear();
+    out.resize(demands.size());
+    double ready = now_;
+    std::size_t served = 0;
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+        NOSWALKER_CHECK(demands[i].block != nullptr);
+        if (covers(demands[i].block->id)) {
+            Parked parked = take_covered(demands[i]);
+            ready = std::max(ready, parked.ready_at);
+            out[i] = std::move(parked.response);
+            ++served;
+        }
+    }
+    const std::size_t loads = demands.size() - served;
+    if (loads > 0) {
+        // Demand loads run where they are waited for, after the FIFO
+        // ahead of them: bank every older ticket (no charge — the
+        // round's FIFO bound covers them), then load on this thread,
+        // where the loader thread could overlap them with nothing.
+        // Every load of the round is submitted at the same modeled
+        // time, so the device queues them back to back and the queue
+        // latency is paid once.
+        stats_.demand_loads += loads;
+        while (loader_->outstanding()) {
+            bank_next_blocking();
+        }
+        make_room(served, loads);
+        const double submitted = now_;
+        for (std::size_t i = 0; i < demands.size(); ++i) {
+            if (out[i].block != nullptr) {
+                continue;
+            }
+            out[i] = loader_->load_now(std::move(demands[i]));
+            banked_ready_ =
+                std::max(banked_ready_, finish_time(out[i], submitted));
+            account(out[i]);
+        }
+        ready = std::max(ready, banked_ready_);
+    }
+    charge_wait(ready);
+}
+
+storage::AsyncLoader::Response
+PrefetchPipeline::obtain(storage::AsyncLoader::Request demand)
+{
+    std::vector<storage::AsyncLoader::Response> out;
+    obtain_round(std::span(&demand, 1), out);
+    return std::move(out.front());
 }
 
 void

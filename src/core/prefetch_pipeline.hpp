@@ -11,12 +11,14 @@
  * bit-identical at every prefetch depth.
  *
  * A demand load runs where it is waited for, after the FIFO ahead of
- * it: obtain() banks every outstanding load, then runs the demand on
- * the engine thread (AsyncLoader::load_now), where the loader thread
- * could overlap it with nothing.  Only speculative loads go to the
- * loader thread.  Where a load runs never reaches the modeled clock
- * below: the demand takes the next ticket and is charged through the
- * same FIFO running max as any other load.
+ * it: obtain_round() banks every outstanding load, then runs the
+ * demand on the engine thread (AsyncLoader::load_now), where the
+ * loader thread could overlap it with nothing.  Only speculative loads
+ * go to the loader thread.  Where a load runs never reaches the
+ * modeled clock below: the demand takes the next ticket and is charged
+ * through the same FIFO running max as any other load.  A fine round's
+ * demands are all submitted at one pipeline time, so the device
+ * queues them back to back and the round pays the queue latency once.
  *
  * Speculative loads are coarse-only and stop once the sticky fine-mode
  * switch fires (a fine needed-list frozen at speculation time would
@@ -57,6 +59,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/block_scheduler.hpp"
@@ -143,13 +146,23 @@ class PrefetchPipeline {
     void poll();
 
     /**
-     * Deliver the block of @p demand, preferring speculative results
-     * over a demand load, which runs on the calling thread once every
-     * outstanding load is banked.  Serving a load charges the modeled
-     * io-wait clock up to its FIFO completion.  A coarse
-     * speculative result serving a fine demand is refined to the
-     * demand's needed list and slots.
+     * Deliver the blocks of @p demands into @p out, in order (a fine
+     * round, DESIGN.md §10).  Each block prefers a speculative result
+     * over a demand load; a coarse speculative result serving a fine
+     * demand is refined to the demand's needed list and slots.  The
+     * round's demand loads run on the calling thread once every
+     * outstanding load is banked, all submitted at one pipeline time,
+     * so they pay the queue latency once between them.  The io-wait
+     * clock is charged once, up to the latest FIFO completion among
+     * the round's loads.  Before the demand loads, speculation held
+     * for other blocks is recycled as far as needed to keep live
+     * buffers within the reserved max(depth, 1) + 1.
+     * @pre demands name distinct blocks, at most max(depth, 1) + 1.
      */
+    void obtain_round(std::span<storage::AsyncLoader::Request> demands,
+                      std::vector<storage::AsyncLoader::Response> &out);
+
+    /** obtain_round() for the one block of @p demand. */
     storage::AsyncLoader::Response
     obtain(storage::AsyncLoader::Request demand);
 
@@ -208,6 +221,13 @@ class PrefetchPipeline {
 
     /** Charge the io-wait clock up to @p ready_at. */
     void charge_wait(double ready_at);
+
+    /** Take the speculative result covering @p demand's block. */
+    Parked take_covered(const storage::AsyncLoader::Request &demand);
+
+    /** Recycle held speculation until @p demand_loads more buffers fit
+     *  the reserved max(depth, 1) + 1 next to the @p served ones. */
+    void make_room(std::size_t served, std::size_t demand_loads);
 
     /** Adapt a speculative result to @p demand (coarse → fine). */
     storage::AsyncLoader::Response

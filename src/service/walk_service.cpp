@@ -193,9 +193,7 @@ WalkService::min_run_footprint(const graph::GraphFile &file,
     // plan a ShardedEngine would build: the shard's CSR index charge,
     // one coarse block buffer (page-aligned, single-buffer degraded
     // mode), and the 64-walker minimum pool.
-    const std::uint64_t page = storage::BlockReader::kPageBytes;
-    const std::uint64_t aligned =
-        (partition.max_block_bytes() / page + 2) * page;
+    const std::uint64_t aligned = core::block_buffer_bytes(partition);
     const shard::ShardPlan plan(partition, std::max(1u, num_shards));
     std::uint64_t floor = 0;
     for (unsigned s = 0; s < plan.num_shards(); ++s) {

@@ -1,9 +1,9 @@
 /**
  * @file
  * Sharded scale-out engine: N NosWalker engines over one graph, each
- * owning a contiguous block range, a private modeled device, and a 1/N
- * slice of the memory budget, stepping concurrently on a fork-join
- * pool (DESIGN.md §11).
+ * owning a contiguous block range, a private modeled device, and a
+ * slice of the memory budget split by need, stepping concurrently on
+ * a fork-join pool (DESIGN.md §11).
  *
  * Execution proceeds in rounds.  Each round, every shard with waiting
  * walkers runs its engine to local quiescence: walkers whose next
@@ -119,7 +119,10 @@ class ShardedEngine {
      * @param partition  1-D block partition of @p file.
      * @param config  engine configuration; num_shards picks the shard
      *                count (clamped to the block count), memory_budget
-     *                is sliced 1/N per shard.
+     *                is split by need: each shard gets its
+     *                single-buffer floor (index charge of its range
+     *                plus one block buffer) and an equal share of
+     *                the rest.
      */
     ShardedEngine(const graph::GraphFile &file,
                   const graph::BlockPartition &partition,
@@ -134,7 +137,7 @@ class ShardedEngine {
 
     /**
      * Share one budget across every shard engine (walk-service mode)
-     * instead of the private 1/N slices.  Pass nullptr to revert.
+     * instead of the private slices.  Pass nullptr to revert.
      */
     void
     set_shared_budget(util::MemoryBudget *budget)
@@ -187,6 +190,13 @@ class ShardedEngine {
 
     /** Conservation counters of the last run's migrations. */
     const ExchangeCounters &exchange_counters() const { return exchange_; }
+
+    /** Shard @p s's private budget slice in bytes (0 = unlimited). */
+    std::uint64_t
+    budget_slice(unsigned s) const
+    {
+        return shards_[s].budget->limit();
+    }
 
     /** Per-shard lifetime totals of the last run (bench reporting). */
     const std::vector<engine::RunStats> &
@@ -336,7 +346,7 @@ class ShardedEngine {
     struct Shard {
         std::unique_ptr<ShardDevice> device;
         std::unique_ptr<graph::GraphFile> file;
-        /** Private 1/N budget slice (bypassed in shared-budget mode). */
+        /** Private budget slice (bypassed in shared-budget mode). */
         std::unique_ptr<util::MemoryBudget> budget;
         std::unique_ptr<Engine> engine;
     };
@@ -345,8 +355,30 @@ class ShardedEngine {
     build_shards()
     {
         const unsigned n = plan_.num_shards();
-        const std::uint64_t slice =
-            config_.memory_budget == 0 ? 0 : config_.memory_budget / n;
+        // Split the budget by need (DESIGN.md §11): each shard's slice
+        // is its single-buffer floor — the index charge of its own
+        // range plus one block buffer — and an equal share of the
+        // rest.  A budget below the floors' sum cannot run anyway; it
+        // splits in proportion to them and the shards' setup reports
+        // the shortfall.
+        std::vector<std::uint64_t> slices(n, 0);
+        if (config_.memory_budget != 0) {
+            const std::uint64_t budget = config_.memory_budget;
+            std::uint64_t total_need = 0;
+            for (unsigned s = 0; s < n; ++s) {
+                const ShardRange &range = plan_.shard(s);
+                slices[s] = core::index_charge(*file_, *partition_,
+                                               range.first_block,
+                                               range.end_block) +
+                            core::block_buffer_bytes(*partition_);
+                total_need += slices[s];
+            }
+            for (std::uint64_t &slice : slices) {
+                slice = budget >= total_need
+                            ? slice + (budget - total_need) / n
+                            : slice * budget / total_need;
+            }
+        }
         core::EngineConfig shard_config = config_;
         shard_config.num_shards = 1;
         // The budget is attached explicitly (slice or shared); the
@@ -359,7 +391,8 @@ class ShardedEngine {
                 file_->device(), file_->device().model());
             shard.file =
                 std::make_unique<graph::GraphFile>(*shard.device);
-            shard.budget = std::make_unique<util::MemoryBudget>(slice);
+            shard.budget =
+                std::make_unique<util::MemoryBudget>(slices[s]);
             shard.engine = std::make_unique<Engine>(
                 *shard.file, *partition_, shard_config);
             shard.engine->set_shared_budget(shard.budget.get());

@@ -6,9 +6,9 @@
  * per-walker stream travels with the walker through every migration.
  *
  * Also covered: migration conservation (every walker posted across a
- * shard boundary is delivered; none leak at close), budget slicing,
- * the modeled multi-device speedup on an I/O-bound run, the per-bucket
- * migration flushes (wire time hidden behind stepping, conserved
+ * shard boundary is delivered; none leak at close), budget slicing by
+ * need, the modeled multi-device speedup on an I/O-bound run, the
+ * per-bucket migration flushes (wire time hidden behind stepping, conserved
  * against the one-shot price), migration traffic repeating across
  * runs and step-thread counts, locality-aware seeding, two-shard wave
  * balancing at seeding, per-shard totals priced like the run, the
@@ -507,9 +507,9 @@ shard_floor(const graph::GraphFile &file,
 TEST_F(ShardedEngineTest, TwoShardsRunUnderASliceBelowTheFullIndex)
 {
     // A shard is charged only the index slice of its own blocks (plus
-    // the out-edge bitmap), so a per-shard slice too small for a full
-    // index copy still runs, and the walk, rounds and migrations are
-    // those of a roomy run.
+    // the out-edge bitmap), so a budget too small for two full index
+    // copies still runs, and the walk, rounds and migrations are those
+    // of a roomy run.  Each shard stays within the slice it was given.
     constexpr std::uint64_t kWalkers = 300;
     constexpr std::uint32_t kLength = 12;
     const shard::ShardPlan plan(*partition_, 2);
@@ -555,9 +555,50 @@ TEST_F(ShardedEngineTest, TwoShardsRunUnderASliceBelowTheFullIndex)
     EXPECT_EQ(eng.rounds(), roomy.rounds());
     EXPECT_EQ(stats.migrations, roomy_stats.migrations);
     EXPECT_GT(stats.migrations, 0u);
-    for (const engine::RunStats &shard : eng.shard_stats()) {
-        EXPECT_LE(shard.peak_memory, slice);
+    std::uint64_t slices = 0;
+    for (unsigned s = 0; s < 2; ++s) {
+        EXPECT_LE(eng.shard_stats()[s].peak_memory, eng.budget_slice(s));
+        slices += eng.budget_slice(s);
     }
+    EXPECT_LE(slices, cfg.memory_budget);
+}
+
+TEST_F(ShardedEngineTest, BudgetSplitsByNeed)
+{
+    // Each shard's slice is its single-buffer floor — the index charge
+    // of its own range plus one page-aligned block buffer — and an
+    // equal share of the rest of the budget.
+    const shard::ShardPlan plan(*partition_, 2);
+    const std::uint64_t aligned =
+        (partition_->max_block_bytes() / 4096 + 2) * 4096;
+    std::vector<std::uint64_t> need;
+    for (unsigned s = 0; s < 2; ++s) {
+        need.push_back(core::index_charge(*file_, *partition_,
+                                          plan.shard(s).first_block,
+                                          plan.shard(s).end_block) +
+                       aligned);
+    }
+    ASSERT_NE(need[0], need[1]);
+    core::EngineConfig cfg = config(2, 1);
+    cfg.memory_budget = 2 * testing_support::tight_budget(*file_, *partition_);
+    const std::uint64_t spare = (cfg.memory_budget - need[0] - need[1]) / 2;
+    shard::ShardedEngine<ConcurrentRecordingWalk> eng(*file_, *partition_,
+                                                      cfg);
+    EXPECT_EQ(eng.budget_slice(0), need[0] + spare);
+    EXPECT_EQ(eng.budget_slice(1), need[1] + spare);
+    EXPECT_LE(eng.budget_slice(0) + eng.budget_slice(1), cfg.memory_budget);
+
+    ConcurrentRecordingWalk app(12, file_->num_vertices(), 300);
+    eng.run(app, 300);
+    for (unsigned s = 0; s < 2; ++s) {
+        EXPECT_LE(eng.shard_stats()[s].peak_memory, eng.budget_slice(s));
+    }
+
+    // No budget, no slices.
+    shard::ShardedEngine<ConcurrentRecordingWalk> free_eng(
+        *file_, *partition_, config(2, 1));
+    EXPECT_EQ(free_eng.budget_slice(0), 0u);
+    EXPECT_EQ(free_eng.budget_slice(1), 0u);
 }
 
 TEST_F(ShardedEngineTest, OneShardChargesLikeThePlainEngine)

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Bench smoke: the micro_storage SSD-model benchmark (prints its JSON),
 # two shard_scaling runs whose migration traffic must repeat
-# (scripts/shard_scaling_check.sh), and one service_throughput sweep
-# (the WalkService end to end).  A non-zero exit of any command fails
-# the script.
+# (scripts/shard_scaling_check.sh), one service_throughput sweep (the
+# WalkService end to end), and the fig10_num_walkers and fig15_node2vec
+# figures (the small-walker and Node2Vec fine-mode regimes).  A
+# non-zero exit of any command fails the script.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -17,3 +18,5 @@ trap 'rm -rf "$tmp"' EXIT
 cat "$tmp/micro_storage.json"
 scripts/shard_scaling_check.sh "$BUILD"
 "$BUILD/bench/service_throughput"
+"$BUILD/bench/fig10_num_walkers"
+"$BUILD/bench/fig15_node2vec"

@@ -3,7 +3,8 @@
 # pass over the concurrent suites (the `tsan` test preset in
 # CMakePresets.json holds the list), the bench smoke shared with CI
 # (scripts/bench_smoke.sh: the storage bench, a shard_scaling repeat
-# check and one service_throughput sweep), and the repository
+# check, one service_throughput sweep and the fig10/fig15 figures),
+# and the repository
 # benchmark's self-test plus short output-checked runs of
 # oc-node2vec-2shard and svc (scripts/walkbench_smoke.sh).
 #

@@ -35,24 +35,31 @@ BlockScheduler::remove_walkers(std::uint32_t block, std::uint64_t n)
 std::uint32_t
 BlockScheduler::hottest() const
 {
-    return hottest_excluding(kNoBlock);
-}
-
-std::uint32_t
-BlockScheduler::hottest_excluding(std::uint32_t skip) const
-{
     std::uint32_t best = kNoBlock;
     std::uint64_t best_count = 0;
     for (std::uint32_t b = 0; b < counts_.size(); ++b) {
-        if (b == skip) {
-            continue;
-        }
         if (counts_[b] > best_count) {
             best_count = counts_[b];
             best = b;
         }
     }
     return best;
+}
+
+void
+BlockScheduler::heat_order(std::vector<std::uint32_t> &out) const
+{
+    out.clear();
+    for (std::uint32_t b = 0; b < counts_.size(); ++b) {
+        if (counts_[b] != 0) {
+            out.push_back(b);
+        }
+    }
+    std::sort(out.begin(), out.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return counts_[a] != counts_[b] ? counts_[a] > counts_[b]
+                                                  : a < b;
+              });
 }
 
 std::vector<std::uint32_t>

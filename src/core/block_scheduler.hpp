@@ -67,11 +67,11 @@ class BlockScheduler {
     std::uint32_t hottest() const;
 
     /**
-     * Hottest block other than @p skip (the prefetch predictor asks
-     * "what comes after the block currently being processed?").
-     * Pass kNoBlock to skip nothing.
+     * Every block with waiting walkers into @p out, in hottest()'s
+     * order: count descending, equal counts toward the lowest id.  A
+     * fine round (DESIGN.md §12) takes its blocks in this order.
      */
-    std::uint32_t hottest_excluding(std::uint32_t skip) const;
+    void heat_order(std::vector<std::uint32_t> &out) const;
 
     /**
      * The up to @p k hottest blocks with waiting walkers, hottest

@@ -45,6 +45,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,7 @@
 #include "storage/block_reader.hpp"
 #include "storage/mem_device.hpp"
 #include "storage/shared_block_cache.hpp"
+#include "util/bitmap.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/memory_budget.hpp"
@@ -286,7 +288,11 @@ class NosWalkerEngine {
         admit_walkers(a, nullptr);
         cpu_seconds += cpu.seconds();
 
-        std::vector<storage::AsyncLoader::Request> round;
+        // A fine round packs its blocks' needed records into the
+        // baseline buffers setup charged, never into speculation slots:
+        // its composition must not depend on prefetch_depth.
+        RoundPacker packer(block_buffer_bytes(*partition_),
+                           single_buffer_ ? 1 : 2);
         std::vector<storage::AsyncLoader::Response> responses;
         while (generated_ < total_ || pool_->live() > 0) {
             pipeline.poll();
@@ -303,20 +309,9 @@ class NosWalkerEngine {
             // pure function of (seed, app, graph), never of the
             // prefetch depth.  Speculation only changes how their bytes
             // arrive, so walk output is bit-identical at every depth.
-            // A fine round (DESIGN.md §12) also takes the next-hottest
-            // busy block into the baseline pair's second buffer, its
-            // needed list frozen now, so both page reads share one
-            // queue latency.  Single-buffered engines load one block.
-            round.clear();
-            round.push_back(make_request(target));
-            if (round.front().fine && !single_buffer_) {
-                const std::uint32_t next =
-                    scheduler_->hottest_excluding(target);
-                if (next != BlockScheduler::kNoBlock) {
-                    round.push_back(make_request(next));
-                }
-            }
-            pipeline.obtain_round(round, responses);
+            const std::size_t width = build_round(target, packer);
+            pipeline.obtain_round(std::span(round_.data(), width),
+                                  responses);
 
             for (storage::AsyncLoader::Response &response : responses) {
                 cpu.reset();
@@ -561,33 +556,90 @@ class NosWalkerEngine {
         }
     }
 
-    storage::AsyncLoader::Request
-    make_request(std::uint32_t block)
+    /**
+     * Fill round_ with the next round's requests and return how many.
+     * A coarse round is @p target alone.  A fine round (DESIGN.md §12)
+     * takes every busy block in heat order — @p target first — until
+     * @p packer cannot place the next one's needed records in the
+     * baseline buffers, so one submission loads them all.  Each needed
+     * list is frozen here, at choice time.
+     */
+    std::size_t
+    build_round(std::uint32_t target, RoundPacker &packer)
     {
-        storage::AsyncLoader::Request request;
-        request.block = &partition_->block(block);
-        request.fine = config_.shrink_block &&
-                       scheduler_->fine_mode(pool_->live());
-        if (request.fine) {
-            // Slot-exact fine loads (DESIGN.md §12): with a SlotDrawApp
-            // each parked walker needs only the page its next draw
-            // lands on.  Parked walkers do not move before the block is
-            // processed, so the kernel's draw is the one dry-run here.
-            request.needed.reserve(pool_->parked(block));
-            if constexpr (engine::kHasSlotDraw<App>) {
-                request.slots.reserve(pool_->parked(block));
+        const bool fine = config_.shrink_block &&
+                          scheduler_->fine_mode(pool_->live());
+        if (round_.empty()) {
+            round_.emplace_back();
+        }
+        if (!fine) {
+            fill_request(round_.front(), target, false);
+            return 1;
+        }
+        packer.clear();
+        scheduler_->heat_order(heat_scratch_);
+        NOSWALKER_CHECK(heat_scratch_.front() == target);
+        std::size_t width = 0;
+        for (const std::uint32_t block : heat_scratch_) {
+            if (round_.size() == width) {
+                round_.emplace_back();
             }
-            for (const Record &rec : peek_bucket(block)) {
-                const graph::VertexId v =
-                    engine::waiting_vertex(*app_, rec.w);
-                request.needed.push_back(v);
-                if constexpr (engine::kHasSlotDraw<App>) {
-                    request.slots.push_back(engine::next_draw_slot(
-                        *app_, rec, file_->degree(v)));
-                }
+            storage::AsyncLoader::Request &request = round_[width];
+            fill_request(request, block, true);
+            if (!packer.place(request)) {
+                break;
+            }
+            fill_slots(request);
+            ++width;
+        }
+        // One block's records always fit one baseline buffer.
+        NOSWALKER_CHECK(width > 0);
+        return width;
+    }
+
+    /** Point @p request at @p block; a fine one also gets the needed
+     *  list of its parked walkers and its segments.  The request's
+     *  vectors keep their capacity from round to round. */
+    void
+    fill_request(storage::AsyncLoader::Request &request,
+                 std::uint32_t block, bool fine)
+    {
+        request.block = &partition_->block(block);
+        request.fine = fine;
+        request.needed.clear();
+        request.slots.clear();
+        request.segments.clear();
+        if (!fine) {
+            return;
+        }
+        for (const Record &rec : peek_bucket(block)) {
+            request.needed.push_back(engine::waiting_vertex(*app_, rec.w));
+        }
+        storage::BlockReader::plan_segments(*file_, *request.block,
+                                            request.needed, plan_pages_,
+                                            request.segments);
+    }
+
+    /**
+     * Slot-exact fine loads (DESIGN.md §12): with a SlotDrawApp each
+     * parked walker of @p request's block needs only the page its next
+     * draw lands on.  Parked walkers do not move before the block is
+     * processed, so the kernel's draw is the one dry-run here.  Run
+     * only once the block is placed: segments cover whole records, so
+     * the dry runs are wasted on the block that ends a round.
+     */
+    void
+    fill_slots([[maybe_unused]] storage::AsyncLoader::Request &request)
+    {
+        if constexpr (engine::kHasSlotDraw<App>) {
+            const std::vector<Record> &bucket =
+                peek_bucket(request.block->id);
+            for (std::size_t i = 0; i < bucket.size(); ++i) {
+                const graph::VertexId v = request.needed[i];
+                request.slots.push_back(engine::next_draw_slot(
+                    *app_, bucket[i], file_->degree(v)));
             }
         }
-        return request;
     }
 
     std::uint32_t
@@ -768,12 +820,12 @@ class NosWalkerEngine {
         if (spill_) {
             spill_->activate(id);
         }
-        std::vector<Record> bucket = pool_->take_bucket(id);
-        scheduler_->remove_walkers(id, bucket.size());
+        pool_->take_bucket(id, bucket_scratch_);
+        scheduler_->remove_walkers(id, bucket_scratch_.size());
         if (spill_) {
-            spill_->retire(id, bucket.size());
+            spill_->retire(id, bucket_scratch_.size());
         }
-        step_records(app, bucket, &response);
+        step_records(app, bucket_scratch_, &response);
     }
 
     /**
@@ -981,6 +1033,15 @@ class NosWalkerEngine {
     std::size_t prefetch_slots_ = 0;
     /** Scratch for top_up_speculation's exclusion list. */
     std::vector<std::uint32_t> exclude_scratch_;
+    /** The round's requests (a prefix of width build_round returns),
+     *  reused with their vectors' capacity from round to round. */
+    std::vector<storage::AsyncLoader::Request> round_;
+    /** build_round's heat order and plan_segments' page scratch. */
+    std::vector<std::uint32_t> heat_scratch_;
+    util::Bitmap plan_pages_;
+    /** The bucket being processed; take_bucket swaps its emptied
+     *  storage back into the pool's bucket. */
+    std::vector<Record> bucket_scratch_;
     util::Reservation index_rsv_;
     util::Reservation buffer_rsv_;
     /** Extra speculation buffers beyond the baseline pair (§10). */

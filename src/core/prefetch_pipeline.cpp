@@ -8,6 +8,41 @@
 
 namespace noswalker::core {
 
+namespace {
+
+/** Bytes of @p segments as plan_segments() packs them, from 0. */
+std::uint64_t
+packed_bytes(std::span<const storage::PageSegment> segments)
+{
+    if (segments.empty()) {
+        return 0;
+    }
+    const storage::PageSegment &last = segments.back();
+    return last.host_offset + std::uint64_t{last.end_page - last.first_page} *
+                                  storage::BlockReader::kPageBytes;
+}
+
+} // namespace
+
+bool
+RoundPacker::place(storage::AsyncLoader::Request &request)
+{
+    const std::uint64_t need = packed_bytes(request.segments);
+    if (open_ > 0 && used_ + need <= host_bytes_) {
+        request.host = open_ - 1;
+        request.host_offset = used_;
+        used_ += need;
+        return true;
+    }
+    if (open_ < hosts_ && need <= host_bytes_) {
+        request.host = open_++;
+        request.host_offset = 0;
+        used_ = need;
+        return true;
+    }
+    return false;
+}
+
 PrefetchPipeline::PrefetchPipeline(storage::AsyncLoader &loader,
                                    storage::BlockReader &reader,
                                    storage::BlockBufferPool &pool,
@@ -205,15 +240,38 @@ PrefetchPipeline::take_covered(const storage::AsyncLoader::Request &demand)
     return parked;
 }
 
+std::size_t
+PrefetchPipeline::reserved() const
+{
+    return std::max<std::size_t>(depth_, 1) + 1;
+}
+
+void
+PrefetchPipeline::drop_covered(std::uint32_t block)
+{
+    if (const auto it = stash_.find(block); it != stash_.end()) {
+        // Already counted as mispredicted when demoted.
+        recycle(std::move(it->second.response.buffer));
+        stash_.erase(it);
+        return;
+    }
+    while (admitted_.find(block) == admitted_.end()) {
+        bank_next_blocking();
+    }
+    const auto banked = admitted_.find(block);
+    ++stats_.prefetch_mispredicts;
+    recycle(std::move(banked->second.response.buffer));
+    admitted_.erase(banked);
+}
+
 void
 PrefetchPipeline::make_room(std::size_t served, std::size_t demand_loads)
 {
     // Nothing is in flight here: obtain_round banked it all.  Demoted
     // stash entries go first (already counted as mispredicts), then
     // banked speculation, each smallest id first as sweep() evicts.
-    const std::size_t reserved = std::max<std::size_t>(depth_, 1) + 1;
     while (admitted_.size() + stash_.size() + served + demand_loads >
-           reserved) {
+           reserved()) {
         std::map<std::uint32_t, Parked> &held =
             stash_.empty() ? admitted_ : stash_;
         NOSWALKER_CHECK(!held.empty());
@@ -226,22 +284,101 @@ PrefetchPipeline::make_room(std::size_t served, std::size_t demand_loads)
 }
 
 void
+PrefetchPipeline::take_hosts(
+    std::span<const storage::AsyncLoader::Request> demands,
+    const std::vector<storage::AsyncLoader::Response> &out)
+{
+    // Size every host before any load lands in it: growing a host
+    // moves its storage.
+    std::vector<std::uint64_t> &bytes = host_bytes_scratch_;
+    bytes.clear();
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+        const storage::AsyncLoader::Request &demand = demands[i];
+        if (!demand.fine || out[i].block != nullptr) {
+            continue;
+        }
+        if (bytes.size() <= demand.host) {
+            bytes.resize(demand.host + 1, 0);
+        }
+        // A host placed only dead ends still backs their views.
+        bytes[demand.host] = std::max<std::uint64_t>(
+            {bytes[demand.host], demand.host_offset +
+                                     packed_bytes(demand.segments),
+             1});
+    }
+    hosts_.resize(bytes.size());
+    for (std::size_t h = 0; h < bytes.size(); ++h) {
+        if (bytes[h] != 0) {
+            hosts_[h] = pool_->acquire();
+            reader_->reserve_host(hosts_[h], bytes[h]);
+        }
+    }
+}
+
+storage::AsyncLoader::Response
+PrefetchPipeline::load_packed(const storage::AsyncLoader::Request &demand)
+{
+    storage::AsyncLoader::Response response;
+    response.block = demand.block;
+    response.fine = true;
+    if (!spare_views_.empty()) {
+        response.buffer = std::move(spare_views_.back());
+        spare_views_.pop_back();
+    }
+    response.result = reader_->load_fine_packed(
+        *demand.block, demand.needed, demand.slots, demand.segments,
+        hosts_[demand.host], demand.host_offset, response.buffer);
+    ++live_views_;
+    return response;
+}
+
+void
+PrefetchPipeline::release_hosts()
+{
+    for (storage::BlockBuffer &host : hosts_) {
+        if (host.owns_storage()) {
+            pool_->recycle(std::move(host));
+        }
+    }
+    hosts_.clear();
+}
+
+void
 PrefetchPipeline::obtain_round(
     std::span<storage::AsyncLoader::Request> demands,
     std::vector<storage::AsyncLoader::Response> &out)
 {
+    NOSWALKER_CHECK(live_views_ == 0);
     out.clear();
     out.resize(demands.size());
+    // Host buffers the round's placement opened: whatever speculation
+    // serves, the demand loads may need every one of them.
+    std::size_t placed_hosts = 0;
+    for (const storage::AsyncLoader::Request &demand : demands) {
+        NOSWALKER_CHECK(demand.block != nullptr);
+        if (demand.fine) {
+            placed_hosts = std::max<std::size_t>(placed_hosts,
+                                                 demand.host + 1);
+        }
+    }
+    NOSWALKER_CHECK(placed_hosts <= reserved());
+    NOSWALKER_CHECK(placed_hosts > 0 || demands.size() <= 1);
+    const std::size_t servable =
+        placed_hosts > 0 ? reserved() - placed_hosts : demands.size();
     double ready = now_;
     std::size_t served = 0;
     for (std::size_t i = 0; i < demands.size(); ++i) {
-        NOSWALKER_CHECK(demands[i].block != nullptr);
-        if (covers(demands[i].block->id)) {
-            Parked parked = take_covered(demands[i]);
-            ready = std::max(ready, parked.ready_at);
-            out[i] = std::move(parked.response);
-            ++served;
+        if (!covers(demands[i].block->id)) {
+            continue;
         }
+        if (served == servable) {
+            drop_covered(demands[i].block->id);
+            continue;
+        }
+        Parked parked = take_covered(demands[i]);
+        ready = std::max(ready, parked.ready_at);
+        out[i] = std::move(parked.response);
+        ++served;
     }
     const std::size_t loads = demands.size() - served;
     if (loads > 0) {
@@ -256,13 +393,18 @@ PrefetchPipeline::obtain_round(
         while (loader_->outstanding()) {
             bank_next_blocking();
         }
-        make_room(served, loads);
+        const bool fine = placed_hosts > 0;
+        make_room(served, fine ? placed_hosts : loads);
+        if (fine) {
+            take_hosts(demands, out);
+        }
         const double submitted = now_;
         for (std::size_t i = 0; i < demands.size(); ++i) {
             if (out[i].block != nullptr) {
                 continue;
             }
-            out[i] = loader_->load_now(std::move(demands[i]));
+            out[i] = fine ? load_packed(demands[i])
+                          : loader_->load_now(std::move(demands[i]));
             banked_ready_ =
                 std::max(banked_ready_, finish_time(out[i], submitted));
             account(out[i]);
@@ -350,12 +492,22 @@ PrefetchPipeline::finish()
     }
     stash_.clear();
     last_hot_.clear();
+    release_hosts();
 }
 
 void
 PrefetchPipeline::recycle(storage::BlockBuffer &&buffer)
 {
-    pool_->recycle(std::move(buffer));
+    if (!buffer.is_view()) {
+        pool_->recycle(std::move(buffer));
+        return;
+    }
+    buffer.clear();
+    spare_views_.push_back(std::move(buffer));
+    NOSWALKER_CHECK(live_views_ > 0);
+    if (--live_views_ == 0) {
+        release_hosts();
+    }
 }
 
 } // namespace noswalker::core

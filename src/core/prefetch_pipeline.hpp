@@ -19,6 +19,9 @@
  * through the same FIFO running max as any other load.  A fine round's
  * demands are all submitted at one pipeline time, so the device
  * queues them back to back and the round pays the queue latency once.
+ * Their pages land in packed views over the round's host buffers
+ * (taken from the buffer pool, placed by RoundPacker), which return to
+ * the pool once the engine has recycled every view of the round.
  *
  * Speculative loads are coarse-only and stop once the sticky fine-mode
  * switch fires (a fine needed-list frozen at speculation time would
@@ -69,6 +72,46 @@
 #include "storage/shared_block_cache.hpp"
 
 namespace noswalker::core {
+
+/**
+ * Next-fit placement of a fine round's blocks (DESIGN.md §10, §12):
+ * each block's segments go, back to back, into the current host buffer
+ * while they fit its rest, else into a fresh one.  A block that fits
+ * neither — or a fresh one when all @p hosts are open — ends the round.
+ */
+class RoundPacker {
+  public:
+    /**
+     * @param host_bytes  bytes of one host buffer (one baseline block
+     *        buffer, core::block_buffer_bytes).
+     * @param hosts       host buffers of the reservation (2, or 1 when
+     *        single-buffered); never depends on the prefetch depth.
+     */
+    RoundPacker(std::uint64_t host_bytes, std::uint32_t hosts)
+        : host_bytes_(host_bytes), hosts_(hosts)
+    {
+    }
+
+    /** Start a new round. */
+    void
+    clear()
+    {
+        open_ = 0;
+        used_ = 0;
+    }
+
+    /** Place @p request's segments: set its host and host_offset.
+     *  False, leaving the placement as it was, when it does not fit. */
+    bool place(storage::AsyncLoader::Request &request);
+
+  private:
+    std::uint64_t host_bytes_;
+    std::uint32_t hosts_;
+    /** Hosts opened this round; the last one is the current host. */
+    std::uint32_t open_ = 0;
+    /** Bytes placed in the current host. */
+    std::uint64_t used_ = 0;
+};
 
 /** Drives an AsyncLoader as a depth-K speculative prefetch pipeline. */
 class PrefetchPipeline {
@@ -149,15 +192,24 @@ class PrefetchPipeline {
      * Deliver the blocks of @p demands into @p out, in order (a fine
      * round, DESIGN.md §10).  Each block prefers a speculative result
      * over a demand load; a coarse speculative result serving a fine
-     * demand is refined to the demand's needed list and slots.  The
-     * round's demand loads run on the calling thread once every
-     * outstanding load is banked, all submitted at one pipeline time,
-     * so they pay the queue latency once between them.  The io-wait
-     * clock is charged once, up to the latest FIFO completion among
-     * the round's loads.  Before the demand loads, speculation held
-     * for other blocks is recycled as far as needed to keep live
-     * buffers within the reserved max(depth, 1) + 1.
-     * @pre demands name distinct blocks, at most max(depth, 1) + 1.
+     * demand is refined to the demand's needed list and slots.  A fine
+     * demand load fills a packed view over the host buffer its
+     * placement names.  The round's demand loads run on the calling
+     * thread once every outstanding load is banked, all submitted at
+     * one pipeline time, so they pay the queue latency once between
+     * them.  The io-wait clock is charged once, up to the latest FIFO
+     * completion among the round's loads.
+     *
+     * Storage buffers stay within the reserved max(depth, 1) + 1: a
+     * fine round placed over H host buffers serves at most that minus
+     * H blocks from speculation (a later covered block's result is
+     * recycled and the block loaded instead), and speculation held for
+     * other blocks is recycled as far as needed before the demand
+     * loads.
+     * @pre demands name distinct blocks; a fine round's demands carry
+     *      plan_segments() segments placed by one RoundPacker over at
+     *      most max(depth, 1) + 1 hosts; a coarse round has one demand;
+     *      every view of the previous round was recycled.
      */
     void obtain_round(std::span<storage::AsyncLoader::Request> demands,
                       std::vector<storage::AsyncLoader::Response> &out);
@@ -182,7 +234,9 @@ class PrefetchPipeline {
      */
     void finish();
 
-    /** Return a consumed response's buffer to the pool. */
+    /** Return a consumed response's buffer: storage to the pool, a
+     *  packed view to the view free list.  The round's host buffers go
+     *  back to the pool with its last view. */
     void recycle(storage::BlockBuffer &&buffer);
 
     const Stats &stats() const { return stats_; }
@@ -229,6 +283,27 @@ class PrefetchPipeline {
      *  the reserved max(depth, 1) + 1 next to the @p served ones. */
     void make_room(std::size_t served, std::size_t demand_loads);
 
+    /** Recycle the speculative result covering @p block unused: its
+     *  round has no buffer left for it. */
+    void drop_covered(std::uint32_t block);
+
+    /** Storage buffers the engine reserved: max(depth, 1) + 1. */
+    std::size_t reserved() const;
+
+    /** Take host buffers from the pool for the fine demand loads among
+     *  @p demands (those @p out has no response for), each sized to
+     *  what is placed in it. */
+    void
+    take_hosts(std::span<const storage::AsyncLoader::Request> demands,
+               const std::vector<storage::AsyncLoader::Response> &out);
+
+    /** Load fine @p demand into a packed view over its host buffer. */
+    storage::AsyncLoader::Response
+    load_packed(const storage::AsyncLoader::Request &demand);
+
+    /** Return the round's host buffers to the pool. */
+    void release_hosts();
+
     /** Adapt a speculative result to @p demand (coarse → fine). */
     storage::AsyncLoader::Response
     adapt(storage::AsyncLoader::Response response,
@@ -240,6 +315,17 @@ class PrefetchPipeline {
     std::size_t depth_;
     storage::SharedBlockCache *cache_;
     double queue_latency_;
+
+    /** The current fine round's host buffers, by placement index
+     *  (storage-less where no demand load was placed), and its views
+     *  not yet recycled. */
+    std::vector<storage::BlockBuffer> hosts_;
+    std::size_t live_views_ = 0;
+    /** take_hosts' per-host byte scratch. */
+    std::vector<std::uint64_t> host_bytes_scratch_;
+    /** Recycled views, kept with their page bitmaps and segment
+     *  vectors for the next rounds. */
+    std::vector<storage::BlockBuffer> spare_views_;
 
     std::deque<Inflight> inflight_;
     /** Ordered maps: sweep/finish iterate deterministically. */

@@ -98,16 +98,17 @@ class WalkerPool {
     }
 
     /**
-     * Move block @p block's bucket out for processing.  The caller owns
-     * the returned walkers (they become in-flight) and re-parks or
-     * retires each one.
+     * Move block @p block's bucket out for processing into @p out, and
+     * give the bucket @p out's emptied storage: a scratch vector passed
+     * on every call keeps the buckets' capacity circulating instead of
+     * regrowing each refill.  The caller owns the walkers (they become
+     * in-flight) and re-parks or retires each one.
      */
-    std::vector<WalkerT>
-    take_bucket(std::uint32_t block)
+    void
+    take_bucket(std::uint32_t block, std::vector<WalkerT> &out)
     {
-        std::vector<WalkerT> out;
+        out.clear();
         out.swap(buckets_[block]);
-        return out;
     }
 
     /** Total parked walkers over all buckets. */

@@ -29,21 +29,26 @@ void
 for_each_page_run(const util::Bitmap &pages, std::uint64_t max_bytes,
                   Fn &&fn)
 {
-    const std::uint64_t num_pages = pages.size();
-    std::uint64_t p = 0;
-    while (p < num_pages) {
-        if (!pages.test(p)) {
-            ++p;
-            continue;
+    // ⌈max_bytes / page⌉ pages, without overflowing on ~0.
+    const std::uint64_t max_pages =
+        max_bytes / BlockReader::kPageBytes +
+        (max_bytes % BlockReader::kPageBytes != 0 ? 1 : 0);
+    pages.for_each_run([&](std::uint64_t first, std::uint64_t end) {
+        for (std::uint64_t p = first; p < end; p += max_pages) {
+            fn(p, std::min(end, p + max_pages));
         }
-        std::uint64_t run_end = p + 1;
-        while (run_end < num_pages && pages.test(run_end) &&
-               (run_end - p) * BlockReader::kPageBytes < max_bytes) {
-            ++run_end;
-        }
-        fn(p, run_end);
-        p = run_end;
-    }
+    });
+}
+
+/** Pages of @p block's page-aligned byte span. */
+std::uint64_t
+span_pages(const graph::BlockInfo &block)
+{
+    const std::uint64_t begin =
+        align_down(block.byte_begin, BlockReader::kPageBytes);
+    const std::uint64_t end = align_up(block.byte_begin + block.byte_size,
+                                       BlockReader::kPageBytes);
+    return (end - begin) / BlockReader::kPageBytes;
 }
 
 } // namespace
@@ -66,10 +71,37 @@ BlockBuffer::page_range(const graph::GraphFile &file, graph::VertexId v,
             (begin + len - 1 - aligned_begin_) / BlockReader::kPageBytes};
 }
 
+const PageSegment *
+BlockBuffer::find_segment(const graph::GraphFile &file,
+                          graph::VertexId v) const
+{
+    const std::uint64_t rel = file.vertex_byte_offset(v) - aligned_begin_;
+    const std::uint64_t first = rel / BlockReader::kPageBytes;
+    const std::uint64_t last =
+        (rel + file.vertex_byte_size(v) - 1) / BlockReader::kPageBytes;
+    // The last segment starting at or before the record's first page.
+    auto it = std::upper_bound(
+        segments_.begin(), segments_.end(), first,
+        [](std::uint64_t page, const PageSegment &segment) {
+            return page < segment.first_page;
+        });
+    if (it == segments_.begin()) {
+        return nullptr;
+    }
+    --it;
+    return last < it->end_page ? &*it : nullptr;
+}
+
 bool
 BlockBuffer::pages_loaded(const graph::GraphFile &file, graph::VertexId v,
                           std::uint32_t slot) const
 {
+    if (file.vertex_byte_size(v) == 0) {
+        return true;
+    }
+    if (find_segment(file, v) == nullptr) {
+        return false;
+    }
     const auto [first_page, last_page] = page_range(file, v, slot);
     for (std::uint64_t p = first_page; p <= last_page; ++p) {
         if (!valid_pages_.test(p)) {
@@ -79,6 +111,34 @@ BlockBuffer::pages_loaded(const graph::GraphFile &file, graph::VertexId v,
     return true;
 }
 
+graph::VertexView
+BlockBuffer::decode_fine(const graph::GraphFile &file,
+                         graph::VertexId v) const
+{
+    if (file.vertex_byte_size(v) == 0) {
+        // A dead end reads nothing: decode its empty record in place.
+        return file.decode(v, {host_, 0}, file.vertex_byte_offset(v));
+    }
+    const PageSegment *segment = find_segment(file, v);
+    NOSWALKER_CHECK(segment != nullptr);
+    const std::uint64_t pages = segment->end_page - segment->first_page;
+    return file.decode(
+        v, {host_ + segment->host_offset, pages * BlockReader::kPageBytes},
+        aligned_begin_ +
+            std::uint64_t{segment->first_page} * BlockReader::kPageBytes);
+}
+
+void
+BlockBuffer::attach_fine(const graph::BlockInfo &block, std::uint8_t *host)
+{
+    info_ = &block;
+    aligned_begin_ = align_down(block.byte_begin, BlockReader::kPageBytes);
+    valid_pages_.resize(span_pages(block));
+    complete_ = false;
+    host_ = host;
+    segments_.clear();
+}
+
 void
 BlockBuffer::clear()
 {
@@ -86,6 +146,30 @@ BlockBuffer::clear()
     size_ = 0; // capacity (and its reservation) is retained
     valid_pages_.resize(0);
     complete_ = false;
+    host_ = nullptr;
+    segments_.clear();
+}
+
+void
+BlockBuffer::reserve(std::uint64_t bytes, util::MemoryBudget &budget)
+{
+    if (reservation_.budget() != nullptr &&
+        reservation_.budget() != &budget) {
+        // Buffer migrating between budgets: drop the old charge first.
+        release_storage();
+    }
+    if (bytes > reservation_.bytes()) {
+        if (reservation_.budget() == nullptr) {
+            reservation_ = util::Reservation(budget, bytes, "block buffer");
+        } else {
+            reservation_.resize(bytes);
+        }
+    }
+    if (bytes > capacity_) {
+        ++allocations_;
+        data_ = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
+        capacity_ = bytes;
+    }
 }
 
 void
@@ -106,31 +190,11 @@ BlockBuffer::resize_for(const graph::BlockInfo &block,
     const std::uint64_t aligned_end = align_up(
         block.byte_begin + block.byte_size, BlockReader::kPageBytes);
     const std::uint64_t bytes = aligned_end - aligned_begin;
-    if (reservation_.budget() != nullptr &&
-        reservation_.budget() != &budget) {
-        // Buffer migrating between budgets: drop the old charge first.
-        release_storage();
-    }
-    if (bytes > reservation_.bytes()) {
-        if (reservation_.budget() == nullptr) {
-            reservation_ = util::Reservation(budget, bytes, "block buffer");
-        } else {
-            reservation_.resize(bytes);
-        }
-    }
-    if (bytes > capacity_) {
-        ++allocations_;
-        data_ = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
-        capacity_ = bytes;
-    }
+    reserve(bytes, budget);
     // Stale bytes past the new block's device span are never decoded
     // (every vertex record ends before the device end), so no zeroing.
     size_ = bytes;
-    info_ = &block;
-    aligned_begin_ = aligned_begin;
-    valid_pages_.resize(bytes / BlockReader::kPageBytes);
-    valid_pages_.reset();
-    complete_ = false;
+    attach_fine(block, data_.get());
 }
 
 BlockReader::BlockReader(const graph::GraphFile &file,
@@ -172,6 +236,53 @@ BlockReader::mark_needed_pages(
 }
 
 void
+BlockReader::plan_segments(const graph::GraphFile &file,
+                           const graph::BlockInfo &block,
+                           std::span<const graph::VertexId> needed_vertices,
+                           util::Bitmap &pages,
+                           std::vector<PageSegment> &segments)
+{
+    const std::uint64_t aligned_begin = align_down(block.byte_begin,
+                                                   kPageBytes);
+    pages.resize(span_pages(block));
+    for (const graph::VertexId v : needed_vertices) {
+        const std::uint64_t len = file.vertex_byte_size(v);
+        if (!block.contains(v) || len == 0) {
+            continue;
+        }
+        const std::uint64_t rel = file.vertex_byte_offset(v) - aligned_begin;
+        for (std::uint64_t p = rel / kPageBytes;
+             p <= (rel + len - 1) / kPageBytes; ++p) {
+            pages.set(p);
+        }
+    }
+    segments.clear();
+    std::uint64_t bytes = 0;
+    for_each_page_run(pages, ~std::uint64_t{0},
+                      [&](std::uint64_t first, std::uint64_t end) {
+                          segments.push_back(
+                              {static_cast<std::uint32_t>(first),
+                               static_cast<std::uint32_t>(end), bytes});
+                          bytes += (end - first) * kPageBytes;
+                      });
+}
+
+void
+BlockReader::place_in_place(const graph::BlockInfo &block,
+                            std::span<const graph::VertexId> needed_vertices,
+                            BlockBuffer &out) const
+{
+    // The residency bitmap doubles as the planning scratch.
+    plan_segments(*file_, block, needed_vertices, out.valid_pages_,
+                  out.segments_);
+    for (PageSegment &segment : out.segments_) {
+        segment.host_offset = std::uint64_t{segment.first_page} * kPageBytes;
+    }
+    out.host_ = out.data_.get();
+    out.valid_pages_.reset();
+}
+
+void
 BlockReader::refine(const graph::BlockInfo &block,
                     std::span<const graph::VertexId> needed_vertices,
                     BlockBuffer &out,
@@ -181,8 +292,15 @@ BlockReader::refine(const graph::BlockInfo &block,
                     out.info()->id == block.id);
     NOSWALKER_CHECK(out.complete_);
     out.complete_ = false;
-    out.valid_pages_.reset();
+    place_in_place(block, needed_vertices, out);
     mark_needed_pages(block, needed_vertices, slots, out);
+}
+
+void
+BlockReader::reserve_host(BlockBuffer &host, std::uint64_t bytes)
+{
+    host.clear();
+    host.reserve(bytes, *budget_);
 }
 
 LoadResult
@@ -235,8 +353,61 @@ BlockReader::load_fine(const graph::BlockInfo &block,
                        std::span<const std::uint32_t> slots)
 {
     prepare(block, out);
+    place_in_place(block, needed_vertices, out);
+    return fill_fine(block, needed_vertices, slots, out);
+}
+
+LoadResult
+BlockReader::load_fine_packed(
+    const graph::BlockInfo &block,
+    std::span<const graph::VertexId> needed_vertices,
+    std::span<const std::uint32_t> slots,
+    std::span<const PageSegment> segments, BlockBuffer &host,
+    std::uint64_t host_offset, BlockBuffer &out)
+{
+    NOSWALKER_CHECK(host.owns_storage() && host.info() == nullptr);
+    if (out.owns_storage()) {
+        out.release_storage();
+    }
+    out.attach_fine(block, host.data_.get());
+    out.segments_.assign(segments.begin(), segments.end());
+    for (PageSegment &segment : out.segments_) {
+        segment.host_offset += host_offset;
+    }
+    if (!out.segments_.empty()) {
+        const PageSegment &last = out.segments_.back();
+        NOSWALKER_CHECK(last.host_offset +
+                            std::uint64_t{last.end_page - last.first_page} *
+                                kPageBytes <=
+                        host.capacity_);
+    }
+    return fill_fine(block, needed_vertices, slots, out);
+}
+
+LoadResult
+BlockReader::fill_fine(const graph::BlockInfo &block,
+                       std::span<const graph::VertexId> needed_vertices,
+                       std::span<const std::uint32_t> slots,
+                       BlockBuffer &out)
+{
     mark_needed_pages(block, needed_vertices, slots, out);
     const util::Bitmap &pages = out.valid_pages_;
+    // Where the run starting at page @p first goes.  Runs arrive in
+    // page order and each lies in one segment (its pages belong to
+    // touching record extents, which merge).
+    std::size_t cursor = 0;
+    const auto dest = [&](std::uint64_t first, std::uint64_t end) {
+        while (cursor < out.segments_.size() &&
+               out.segments_[cursor].end_page <= first) {
+            ++cursor;
+        }
+        NOSWALKER_CHECK(cursor < out.segments_.size());
+        const PageSegment &segment = out.segments_[cursor];
+        NOSWALKER_CHECK(segment.first_page <= first &&
+                        end <= segment.end_page);
+        return out.host_ + segment.host_offset +
+               (first - segment.first_page) * kPageBytes;
+    };
 
     LoadResult result;
     if (cache_ != nullptr) {
@@ -244,7 +415,6 @@ BlockReader::load_fine(const graph::BlockInfo &block,
             // The cache holds the whole coarse image; copy only the
             // marked pages out of it instead of device I/O.
             const std::vector<std::uint8_t> &image = entry->bytes;
-            NOSWALKER_CHECK(image.size() <= out.size_);
             for_each_page_run(
                 pages, ~std::uint64_t{0},
                 [&](std::uint64_t first, std::uint64_t end) {
@@ -253,7 +423,7 @@ BlockReader::load_fine(const graph::BlockInfo &block,
                         end * kPageBytes, image.size());
                     if (lo < hi) {
                         std::copy(image.begin() + lo, image.begin() + hi,
-                                  out.data_.get() + lo);
+                                  dest(first, end));
                     }
                 });
             result.from_cache = true;
@@ -272,8 +442,7 @@ BlockReader::load_fine(const graph::BlockInfo &block,
             }
             const std::uint64_t len =
                 std::min((end - first) * kPageBytes, device_end - off);
-            file_->device().read(off, len,
-                                 out.data_.get() + first * kPageBytes);
+            file_->device().read(off, len, dest(first, end));
             result.bytes_read += len;
             ++result.requests;
             result.modeled_seconds +=

@@ -37,8 +37,7 @@ IoDevice::account(bool is_write, std::uint64_t len, double seconds)
         bytes_read_.fetch_add(len, std::memory_order_relaxed);
         read_requests_.fetch_add(1, std::memory_order_relaxed);
     }
-    busy_nanos_.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
-                          std::memory_order_relaxed);
+    busy_seconds_.fetch_add(seconds, std::memory_order_relaxed);
 }
 
 IoStats
@@ -49,9 +48,7 @@ IoDevice::stats() const
     s.bytes_written = bytes_written_.load(std::memory_order_relaxed);
     s.read_requests = read_requests_.load(std::memory_order_relaxed);
     s.write_requests = write_requests_.load(std::memory_order_relaxed);
-    s.busy_seconds =
-        static_cast<double>(busy_nanos_.load(std::memory_order_relaxed)) /
-        1e9;
+    s.busy_seconds = busy_seconds_.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -62,7 +59,7 @@ IoDevice::reset_stats()
     bytes_written_.store(0, std::memory_order_relaxed);
     read_requests_.store(0, std::memory_order_relaxed);
     write_requests_.store(0, std::memory_order_relaxed);
-    busy_nanos_.store(0, std::memory_order_relaxed);
+    busy_seconds_.store(0.0, std::memory_order_relaxed);
 }
 
 } // namespace noswalker::storage

@@ -90,8 +90,9 @@ class IoDevice {
     std::atomic<std::uint64_t> bytes_written_{0};
     std::atomic<std::uint64_t> read_requests_{0};
     std::atomic<std::uint64_t> write_requests_{0};
-    /** Busy time in nanoseconds, atomic for cross-thread accumulation. */
-    std::atomic<std::uint64_t> busy_nanos_{0};
+    /** Modeled busy seconds, summed exactly as the cost model prices
+     *  each request; atomic for cross-thread accumulation. */
+    std::atomic<double> busy_seconds_{0.0};
 };
 
 } // namespace noswalker::storage

@@ -78,6 +78,53 @@ class Bitmap {
         }
     }
 
+    /**
+     * Invoke @p fn(first, end) for every maximal run [first, end) of set
+     * bits, in ascending order.  Word-at-a-time: a run costs a few bit
+     * operations however long it is.  The loader derives its page
+     * segments and coalesced requests from these runs.
+     */
+    template <typename Fn>
+    void
+    for_each_run(Fn &&fn) const
+    {
+        constexpr std::uint64_t kAll = ~std::uint64_t{0};
+        bool open = false;
+        std::size_t first = 0;
+        for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+            std::uint64_t word = words_[wi];
+            const std::size_t base = wi * 64;
+            if (open) {
+                if (word == kAll) {
+                    continue;
+                }
+                // The open run ends at this word's lowest clear bit.
+                const int ones = __builtin_ctzll(~word);
+                fn(first, base + static_cast<std::size_t>(ones));
+                open = false;
+                word &= ~((std::uint64_t{1} << ones) - 1);
+            }
+            while (word != 0) {
+                const int start = __builtin_ctzll(word);
+                const std::uint64_t shifted = word >> start;
+                if (shifted == kAll >> start) {
+                    // Runs to the top of the word: may continue.
+                    first = base + static_cast<std::size_t>(start);
+                    open = true;
+                    break;
+                }
+                const int len = __builtin_ctzll(~shifted);
+                fn(base + static_cast<std::size_t>(start),
+                   base + static_cast<std::size_t>(start + len));
+                word &= ~(((std::uint64_t{1} << len) - 1) << start);
+            }
+        }
+        if (open) {
+            // Bits past size() are never set, so the run ends there.
+            fn(first, nbits_);
+        }
+    }
+
     /** Bytes of heap memory held. */
     std::size_t
     memory_bytes() const

@@ -1,21 +1,25 @@
 /**
  * @file
- * Fine rounds (DESIGN.md §10, §12): in fine mode a double-buffered
- * engine loads the scheduler's hottest block and its next-hottest busy
- * block into the baseline buffer pair, submitting both page reads at
- * one pipeline time, so the pair pays the device's queue latency once.
+ * Fine rounds (DESIGN.md §10, §12): in fine mode an engine takes the
+ * scheduler's hottest block and then every busy block in heat order
+ * while their needed records pack into its baseline buffers (two, one
+ * when single-buffered), and submits all their page reads at one
+ * pipeline time, so the round pays the device's queue latency once.
  *
  * Covered here, all on the modeled device: the pipeline prices a
- * two-demand round with one latency and counts both loads; an engine
- * run charges one latency per round, never more rounds than loads;
- * walk output is bit-identical across step threads and prefetch depth
- * with rounds active, pre-sampling on and off; a single-buffered run
- * keeps one block per load and the same walks; a round never holds
- * more buffers than the engine reserved, and a fine-mode run's peak is
- * exactly its index, buffer pair and walker pool.
+ * multi-demand round with one latency and counts every load; a packed
+ * view holds what a fresh in-place fine load holds, for the same bytes
+ * and requests; a dead end decodes from a view; the pool never creates
+ * more storage buffers than the reservation; an engine run charges one
+ * latency per round and packs past a pair; rounds are the same at
+ * every prefetch depth and walk output is bit-identical across step
+ * threads and prefetch depth, pre-sampling on and off; a
+ * single-buffered run packs too, with the same walks; a fine-mode
+ * run's peak is exactly its index, buffer pair and walker pool.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -24,6 +28,7 @@
 #include "core/block_scheduler.hpp"
 #include "core/noswalker_engine.hpp"
 #include "core/prefetch_pipeline.hpp"
+#include "engine/run_stats.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/partition.hpp"
@@ -32,6 +37,7 @@
 #include "storage/block_buffer_pool.hpp"
 #include "storage/block_reader.hpp"
 #include "storage/mem_device.hpp"
+#include "util/bitmap.hpp"
 #include "util/memory_budget.hpp"
 
 namespace noswalker {
@@ -73,15 +79,43 @@ class FineRound : public testing::Test {
         return cfg;
     }
 
-    /** A fine demand for @p block needing its first vertex's record. */
+    /** A fine demand for @p block needing @p needed (its first
+     *  vertex's record by default), with its segments planned. */
     storage::AsyncLoader::Request
-    fine_demand(std::uint32_t block) const
+    fine_demand(std::uint32_t block,
+                std::vector<graph::VertexId> needed = {},
+                std::vector<std::uint32_t> slots = {}) const
     {
         storage::AsyncLoader::Request request;
         request.block = &partition_->block(block);
         request.fine = true;
-        request.needed.push_back(request.block->first_vertex);
+        request.needed = needed.empty()
+                             ? std::vector{request.block->first_vertex}
+                             : std::move(needed);
+        request.slots = std::move(slots);
+        util::Bitmap pages;
+        storage::BlockReader::plan_segments(*file_, *request.block,
+                                            request.needed, pages,
+                                            request.segments);
         return request;
+    }
+
+    /** Place @p round with a RoundPacker of @p hosts host buffers of
+     *  @p host_bytes each; every demand must fit. */
+    static void
+    pack(std::vector<storage::AsyncLoader::Request> &round,
+         std::uint64_t host_bytes, std::uint32_t hosts)
+    {
+        core::RoundPacker packer(host_bytes, hosts);
+        for (auto &request : round) {
+            ASSERT_TRUE(packer.place(request));
+        }
+    }
+
+    std::uint64_t
+    aligned() const
+    {
+        return core::block_buffer_bytes(*partition_);
     }
 
     /** Queue latencies a run paid: with no speculation every round
@@ -104,6 +138,36 @@ class FineRound : public testing::Test {
     std::unique_ptr<graph::BlockPartition> partition_;
 };
 
+TEST(FineRoundPacker, NextFitEndsTheRoundAtTheFirstMisfit)
+{
+    const auto of_pages = [](std::uint32_t pages) {
+        storage::AsyncLoader::Request request;
+        request.segments.push_back({0, pages, 0});
+        return request;
+    };
+    constexpr std::uint64_t kPage = storage::BlockReader::kPageBytes;
+    core::RoundPacker packer(10 * kPage, 2);
+    auto a = of_pages(6);
+    auto b = of_pages(3);
+    auto c = of_pages(6);
+    auto d = of_pages(5);
+    ASSERT_TRUE(packer.place(a));
+    EXPECT_EQ(a.host, 0u);
+    EXPECT_EQ(a.host_offset, 0u);
+    ASSERT_TRUE(packer.place(b)); // into the rest of the current host
+    EXPECT_EQ(b.host, 0u);
+    EXPECT_EQ(b.host_offset, 6 * kPage);
+    ASSERT_TRUE(packer.place(c)); // too big for the rest: a fresh host
+    EXPECT_EQ(c.host, 1u);
+    EXPECT_EQ(c.host_offset, 0u);
+    EXPECT_FALSE(packer.place(d)) << "fits no host: the round ends";
+    packer.clear();
+    ASSERT_TRUE(packer.place(d));
+    EXPECT_EQ(d.host, 0u);
+    auto huge = of_pages(11);
+    EXPECT_FALSE(packer.place(huge)) << "larger than any host";
+}
+
 TEST_F(FineRound, PipelineChargesOneQueueLatencyPerRound)
 {
     util::MemoryBudget budget;
@@ -118,6 +182,7 @@ TEST_F(FineRound, PipelineChargesOneQueueLatencyPerRound)
                                     latency);
     std::vector<storage::AsyncLoader::Request> round = {fine_demand(1),
                                                         fine_demand(2)};
+    pack(round, aligned(), 2);
     std::vector<storage::AsyncLoader::Response> out;
     pipeline.obtain_round(round, out);
     ASSERT_EQ(out.size(), 2u);
@@ -142,7 +207,10 @@ TEST_F(FineRound, PipelineChargesOneQueueLatencyPerRound)
     core::PrefetchPipeline single(single_loader, reader, single_pool, 0,
                                   nullptr, latency);
     for (const std::uint32_t block : {1u, 2u}) {
-        auto response = single.obtain(fine_demand(block));
+        std::vector<storage::AsyncLoader::Request> one = {
+            fine_demand(block)};
+        pack(one, aligned(), 2);
+        auto response = single.obtain(std::move(one.front()));
         single.recycle(std::move(response.buffer));
     }
     EXPECT_EQ(single.stats().demand_loads, 2u);
@@ -151,12 +219,123 @@ TEST_F(FineRound, PipelineChargesOneQueueLatencyPerRound)
     single.finish();
 }
 
+TEST_F(FineRound, PackedViewHoldsWhatAFreshFineLoadHolds)
+{
+    // Every third vertex of four blocks, a slot for most and the whole
+    // record for the rest, packed into one round.
+    util::MemoryBudget budget;
+    storage::BlockReader reader(*file_, budget);
+    storage::BlockBufferPool pool;
+    storage::AsyncLoader loader(reader, false, 1, &pool);
+    core::PrefetchPipeline pipeline(loader, reader, pool, 0, nullptr,
+                                    80e-6);
+    std::vector<storage::AsyncLoader::Request> round;
+    for (const std::uint32_t b : {3u, 0u, 7u, 12u}) {
+        const graph::BlockInfo &block = partition_->block(b);
+        std::vector<graph::VertexId> needed;
+        std::vector<std::uint32_t> slots;
+        for (graph::VertexId v = block.first_vertex; v < block.end_vertex;
+             v += 3) {
+            needed.push_back(v);
+            const std::uint32_t degree = file_->degree(v);
+            slots.push_back(v % 4 == 0 || degree == 0
+                                ? graph::kWholeRecord
+                                : static_cast<std::uint32_t>(
+                                      (v * 2654435761ULL) % degree));
+        }
+        round.push_back(fine_demand(b, needed, slots));
+    }
+    pack(round, 4 * aligned(), 1);
+    std::vector<storage::AsyncLoader::Response> out;
+    pipeline.obtain_round(round, out);
+    ASSERT_EQ(out.size(), round.size());
+
+    for (std::size_t i = 0; i < round.size(); ++i) {
+        const storage::AsyncLoader::Request &demand = round[i];
+        const storage::BlockBuffer &view = out[i].buffer;
+        EXPECT_TRUE(view.is_view());
+        storage::BlockBuffer fresh;
+        const storage::LoadResult want =
+            reader.load_fine(*demand.block, demand.needed, fresh,
+                             demand.slots);
+        EXPECT_EQ(out[i].result.bytes_read, want.bytes_read);
+        EXPECT_EQ(out[i].result.requests, want.requests);
+        EXPECT_DOUBLE_EQ(out[i].result.modeled_seconds,
+                         want.modeled_seconds);
+        for (graph::VertexId v = demand.block->first_vertex;
+             v < demand.block->end_vertex; ++v) {
+            ASSERT_EQ(view.vertex_loaded(*file_, v),
+                      fresh.vertex_loaded(*file_, v))
+                << "vertex " << v;
+            for (std::uint32_t s = 0; s < file_->degree(v); ++s) {
+                ASSERT_EQ(view.vertex_loaded(*file_, v, s),
+                          fresh.vertex_loaded(*file_, v, s))
+                    << "vertex " << v << " slot " << s;
+            }
+        }
+        // Every needed (vertex, slot) is resident and decodes to the
+        // graph's edge.
+        for (std::size_t k = 0; k < demand.needed.size(); ++k) {
+            const graph::VertexId v = demand.needed[k];
+            const std::uint32_t slot = demand.slots[k];
+            ASSERT_TRUE(view.vertex_loaded(*file_, v, slot)) << v;
+            const auto targets = view.view(*file_, v).targets;
+            const auto want_targets = graph_.neighbors(v);
+            ASSERT_EQ(targets.size(), want_targets.size());
+            if (slot != graph::kWholeRecord) {
+                EXPECT_EQ(targets[slot], want_targets[slot]) << v;
+            } else {
+                EXPECT_TRUE(std::equal(targets.begin(), targets.end(),
+                                       want_targets.begin()))
+                    << v;
+            }
+        }
+    }
+    EXPECT_EQ(pool.created(), 1u) << "one host backs the whole round";
+    for (auto &response : out) {
+        pipeline.recycle(std::move(response.buffer));
+    }
+    EXPECT_EQ(pool.free_count(), 1u) << "host back with the last view";
+    pipeline.finish();
+}
+
+TEST_F(FineRound, DeadEndDecodesFromAPackedView)
+{
+    // A Node2Vec candidate may be a dead end: its empty record is
+    // resident in any fine buffer of its block and decodes without a
+    // segment, even in a view that has none.
+    graph::VertexId dead = graph::kInvalidVertex;
+    for (graph::VertexId v = 0; v < file_->num_vertices(); ++v) {
+        if (file_->degree(v) == 0) {
+            dead = v;
+            break;
+        }
+    }
+    ASSERT_NE(dead, graph::kInvalidVertex) << "the fixture has a dead end";
+    const std::uint32_t b = partition_->block_of(dead);
+    util::MemoryBudget budget;
+    storage::BlockReader reader(*file_, budget);
+    storage::BlockBufferPool pool;
+    storage::AsyncLoader loader(reader, false, 1, &pool);
+    core::PrefetchPipeline pipeline(loader, reader, pool, 0, nullptr,
+                                    80e-6);
+    std::vector<storage::AsyncLoader::Request> round = {
+        fine_demand(b, {dead})};
+    ASSERT_TRUE(round.front().segments.empty());
+    pack(round, aligned(), 2);
+    std::vector<storage::AsyncLoader::Response> out;
+    pipeline.obtain_round(round, out);
+    const storage::BlockBuffer &view = out.front().buffer;
+    EXPECT_EQ(out.front().result.requests, 0u);
+    ASSERT_TRUE(view.vertex_loaded(*file_, dead));
+    EXPECT_EQ(view.view(*file_, dead).degree(), 0u);
+    pipeline.recycle(std::move(out.front().buffer));
+    pipeline.finish();
+}
+
 TEST_F(FineRound, RoundNeverHoldsMoreBuffersThanReserved)
 {
-    // Depth 1 reserves two buffers.  A demoted speculative load sits
-    // in the stash when a round needs two demand loads: the stash
-    // entry is recycled first, so the round holds two buffers, not
-    // three.
+    // Depth 1 reserves two storage buffers.
     util::MemoryBudget budget;
     storage::BlockReader reader(*file_, budget);
     storage::BlockBufferPool pool;
@@ -165,43 +344,63 @@ TEST_F(FineRound, RoundNeverHoldsMoreBuffersThanReserved)
                                     80e-6);
     core::BlockScheduler sched(partition_->num_blocks(), 4.0,
                                file_->edge_region_bytes(), 4096);
-    pipeline.speculate(partition_->block(5));
-    pipeline.poll();
-    pipeline.sweep(sched); // block 5 has no walkers: demoted
-    ASSERT_TRUE(pipeline.covers(5));
-    ASSERT_EQ(pipeline.stats().prefetch_mispredicts, 1u);
+    const auto demote = [&](std::uint32_t block) {
+        pipeline.speculate(partition_->block(block));
+        pipeline.poll();
+        pipeline.sweep(sched); // no walkers: demoted to the stash
+        ASSERT_TRUE(pipeline.covers(block));
+    };
+    const auto finish_round =
+        [&](std::vector<storage::AsyncLoader::Response> &out) {
+            for (auto &response : out) {
+                pipeline.recycle(std::move(response.buffer));
+            }
+        };
+    std::vector<storage::AsyncLoader::Response> out;
 
+    // A round over two hosts while a demoted load sits in the stash:
+    // the stash entry is recycled first, so the pool creates two
+    // buffers, not three.
+    demote(5);
     std::vector<storage::AsyncLoader::Request> round = {fine_demand(1),
                                                         fine_demand(2)};
-    std::vector<storage::AsyncLoader::Response> out;
+    round[1].host = 1; // one host each
     pipeline.obtain_round(round, out);
     EXPECT_FALSE(pipeline.covers(5));
-    EXPECT_EQ(pool.created(), 2u) << "live buffers exceeded the pair";
+    EXPECT_EQ(pool.created(), 2u) << "storage buffers exceeded the pair";
     EXPECT_EQ(pipeline.stats().demand_loads, 2u);
     EXPECT_EQ(pipeline.stats().prefetch_mispredicts, 1u);
-    for (auto &response : out) {
-        pipeline.recycle(std::move(response.buffer));
-    }
+    finish_round(out);
 
-    // A round block the stash covers is served from it; the other
-    // block is loaded next to it.
-    pipeline.speculate(partition_->block(3));
-    pipeline.poll();
-    pipeline.sweep(sched);
+    // Two hosts leave no buffer for a covered block: its speculative
+    // result is recycled and the block loaded into its place.
+    demote(3);
     round = {fine_demand(3), fine_demand(4)};
+    round[1].host = 1;
+    pipeline.obtain_round(round, out);
+    EXPECT_EQ(pipeline.stats().prefetch_hits, 0u);
+    EXPECT_EQ(pipeline.stats().demand_loads, 4u);
+    EXPECT_TRUE(out[0].buffer.is_view()) << "loaded, not served";
+    EXPECT_EQ(pool.created(), 2u);
+    finish_round(out);
+
+    // One host leaves one: the stash serves the covered block, refined
+    // to the demand, and the other block lands in the host.
+    demote(3);
+    round = {fine_demand(3), fine_demand(4)};
+    pack(round, aligned(), 1);
     pipeline.obtain_round(round, out);
     EXPECT_EQ(pipeline.stats().prefetch_hits, 1u);
-    EXPECT_EQ(pipeline.stats().demand_loads, 3u);
+    EXPECT_EQ(pipeline.stats().demand_loads, 5u);
     EXPECT_TRUE(out[0].fine);
     EXPECT_FALSE(out[0].buffer.complete()) << "refined to the demand";
+    EXPECT_FALSE(out[0].buffer.is_view());
     EXPECT_EQ(pool.created(), 2u);
-    for (auto &response : out) {
-        pipeline.recycle(std::move(response.buffer));
-    }
+    finish_round(out);
     pipeline.finish();
 }
 
-TEST_F(FineRound, EngineRunPaysOneLatencyPerRound)
+TEST_F(FineRound, EngineRunPacksRoundsPastThePair)
 {
     ConcurrentRecordingWalk app(kLength, file_->num_vertices(), kWalkers);
     core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
@@ -210,12 +409,35 @@ TEST_F(FineRound, EngineRunPaysOneLatencyPerRound)
     ASSERT_TRUE(stats.pipelined);
     ASSERT_EQ(stats.blocks_loaded, 0u) << "fine mode from the first load";
     ASSERT_GT(stats.fine_loads, 0u);
+    // One latency per round, and a round loads more than the two
+    // blocks a buffer pair would hold whole.
     const std::uint64_t rounds = latency_charges(stats);
-    // Every round loads one or two blocks, and two busy blocks are
-    // the rule here: most rounds carry a pair.
-    EXPECT_GE(2 * rounds, stats.fine_loads);
-    EXPECT_LT(rounds, stats.fine_loads);
-    EXPECT_LT(4 * rounds, 3 * stats.fine_loads);
+    EXPECT_GT(rounds, 0u);
+    EXPECT_LT(2 * rounds, stats.fine_loads);
+}
+
+TEST_F(FineRound, RoundsAreTheSameAtEveryDepth)
+{
+    // Fine mode from the first load, so no depth ever speculates: the
+    // rounds — their count, loads and bytes — must not move.
+    std::vector<engine::RunStats> runs;
+    for (const unsigned depth : {0u, 1u, 4u}) {
+        ConcurrentRecordingWalk app(kLength, file_->num_vertices(),
+                                    kWalkers);
+        core::NosWalkerEngine<ConcurrentRecordingWalk> eng(
+            *file_, *partition_, config(depth, 1, true));
+        runs.push_back(eng.run(app, kWalkers));
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+        EXPECT_EQ(latency_charges(runs[i]), latency_charges(runs[0]));
+        EXPECT_EQ(runs[i].fine_loads, runs[0].fine_loads);
+        EXPECT_EQ(runs[i].graph_bytes_read, runs[0].graph_bytes_read);
+        EXPECT_EQ(runs[i].graph_read_requests,
+                  runs[0].graph_read_requests);
+        EXPECT_DOUBLE_EQ(runs[i].io_wait_seconds, runs[0].io_wait_seconds);
+        EXPECT_EQ(runs[i].steps, runs[0].steps);
+        EXPECT_EQ(runs[i].block_steps, runs[0].block_steps);
+    }
 }
 
 TEST_F(FineRound, WalksAreBitIdenticalAcrossThreadsAndDepths)
@@ -258,30 +480,38 @@ TEST_F(FineRound, WalksAreBitIdenticalAcrossThreadsAndDepths)
     }
 }
 
-TEST_F(FineRound, SingleBufferedRunKeepsOneBlockPerLoad)
+TEST_F(FineRound, SingleBufferedRunPacksIntoItsOneBuffer)
 {
     // A budget whose 35% buffer share cannot hold two block buffers
-    // leaves the engine single-buffered: every load is its own round.
-    // With pre-sampling off, the walks are those of the rounds run.
+    // leaves the engine single-buffered, and its rounds pack into that
+    // one buffer.  With so few walkers every round's records fit it, so
+    // the rounds, bytes and walks are those of the double-buffered run.
+    constexpr std::uint64_t kFew = 6;
     const std::uint64_t aligned = core::block_buffer_bytes(*partition_);
     core::EngineConfig tight = config(0, 1, false);
     tight.memory_budget = file_->index_bytes() + 4 * aligned;
     ConcurrentRecordingWalk single_app(kLength, file_->num_vertices(),
-                                       kWalkers);
+                                       kFew);
     core::NosWalkerEngine<ConcurrentRecordingWalk> single(
         *file_, *partition_, tight);
-    const auto single_stats = single.run(single_app, kWalkers);
+    const auto single_stats = single.run(single_app, kFew);
     ASSERT_FALSE(single_stats.pipelined);
-    ASSERT_GT(single_stats.fine_loads, 0u);
-    EXPECT_EQ(latency_charges(single_stats),
-              single_stats.fine_loads + single_stats.blocks_loaded);
+    ASSERT_EQ(single_stats.blocks_loaded, 0u);
+    EXPECT_EQ(single_stats.peak_memory,
+              file_->index_bytes() + aligned +
+                  kFew * sizeof(engine::Stepped<engine::Walker>));
+    const std::uint64_t rounds = latency_charges(single_stats);
+    EXPECT_LT(rounds, single_stats.fine_loads)
+        << "more than one block per latency charge";
 
-    ConcurrentRecordingWalk pair_app(kLength, file_->num_vertices(),
-                                     kWalkers);
+    ConcurrentRecordingWalk pair_app(kLength, file_->num_vertices(), kFew);
     core::NosWalkerEngine<ConcurrentRecordingWalk> pair(
         *file_, *partition_, config(0, 1, false));
-    const auto pair_stats = pair.run(pair_app, kWalkers);
-    EXPECT_LT(latency_charges(pair_stats), pair_stats.fine_loads);
+    const auto pair_stats = pair.run(pair_app, kFew);
+    ASSERT_TRUE(pair_stats.pipelined);
+    EXPECT_EQ(latency_charges(pair_stats), rounds);
+    EXPECT_EQ(pair_stats.fine_loads, single_stats.fine_loads);
+    EXPECT_EQ(pair_stats.graph_bytes_read, single_stats.graph_bytes_read);
     EXPECT_EQ(pair_stats.steps, single_stats.steps);
     EXPECT_EQ(pair_app.endpoints, single_app.endpoints);
 }

@@ -68,7 +68,6 @@ TEST(BlockScheduler, HottestBreaksTiesTowardLowestBlockId)
     EXPECT_EQ(sched.hottest(), 3u) << "strictly hotter wins";
     sched.add_walker(2);
     EXPECT_EQ(sched.hottest(), 2u) << "tie at 2 resolves to lower id";
-    EXPECT_EQ(sched.hottest_excluding(2), 3u);
 }
 
 TEST(BlockScheduler, TopKBreaksTiesTowardLowestIdAtEveryRank)
@@ -85,6 +84,10 @@ TEST(BlockScheduler, TopKBreaksTiesTowardLowestIdAtEveryRank)
         sched.top_k_excluding(6, {});
     const std::vector<std::uint32_t> want = {1, 3, 0, 5};
     EXPECT_EQ(top, want);
+    // A fine round's heat order is the same ranking, every busy block.
+    std::vector<std::uint32_t> heat = {42};
+    sched.heat_order(heat);
+    EXPECT_EQ(heat, want);
     const std::uint32_t skip[] = {1};
     const std::vector<std::uint32_t> rest =
         sched.top_k_excluding(2, skip);
@@ -124,9 +127,13 @@ TEST(WalkerPool, AdmitParkTakeRetire)
     EXPECT_EQ(pool.parked(1), 2u);
     EXPECT_EQ(pool.total_parked(), 2u);
     EXPECT_EQ(pool.bucket_view(1).size(), 2u);
-    auto bucket = pool.take_bucket(1);
+    std::vector<engine::Walker> bucket;
+    bucket.reserve(16);
+    pool.take_bucket(1, bucket);
     EXPECT_EQ(bucket.size(), 2u);
     EXPECT_EQ(pool.parked(1), 0u);
+    // The scratch's storage stays with the bucket for its next refill.
+    EXPECT_GE(pool.bucket_view(1).capacity(), 16u);
     pool.retire();
     pool.retire();
     EXPECT_EQ(pool.live(), 0u);

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <cstdio>
 #include <numeric>
 #include <string>
@@ -92,12 +94,30 @@ TEST(MemDevice, StatsAccounting)
     EXPECT_EQ(s.read_requests, 2u);
     // One bandwidth-bound 8 KiB write plus two IOPS-bound reads.
     const SsdModel m = SsdModel::p4618();
-    // Busy time is accumulated in integer nanoseconds: allow the
-    // per-request quantization error.
     EXPECT_NEAR(s.busy_seconds,
                 m.request_seconds(8192) + 2.0 / 600000.0, 1e-8);
     dev.reset_stats();
     EXPECT_EQ(dev.stats().bytes_read, 0u);
+}
+
+TEST(MemDevice, BusySecondsSumTheModelExactly)
+{
+    // Odd lengths price at fractions of a nanosecond: the device's busy
+    // time must add them up, not round each request down.
+    const SsdModel m = SsdModel::p4618();
+    MemDevice dev(m);
+    std::vector<std::uint8_t> buf(1 << 20, 3);
+    dev.write(0, buf.size(), buf.data());
+    dev.reset_stats();
+    constexpr int kReads = 1000;
+    constexpr std::uint64_t kLen = 12345;
+    const double each = m.request_seconds(kLen);
+    ASSERT_NE(each * 1e9, std::floor(each * 1e9)) << "not a whole ns";
+    for (int i = 0; i < kReads; ++i) {
+        dev.read(0, kLen, buf.data());
+    }
+    const double want = kReads * each;
+    EXPECT_NEAR(dev.stats().busy_seconds, want, want * 1e-12);
 }
 
 TEST(IoStats, Accumulate)

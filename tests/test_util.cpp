@@ -8,6 +8,7 @@
 #include <cmath>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/alias_table.hpp"
@@ -243,6 +244,41 @@ TEST(Bitmap, ForEachSetAscending)
     std::vector<std::size_t> seen;
     bm.for_each_set([&](std::size_t i) { seen.push_back(i); });
     EXPECT_EQ(seen, bits);
+}
+
+TEST(Bitmap, ForEachRunMatchesABitByBitScan)
+{
+    // Runs across word edges, whole set words and runs to the end.
+    for (const std::size_t nbits : {1u, 63u, 64u, 65u, 128u, 200u, 257u}) {
+        for (std::uint64_t seed = 0; seed < 40; ++seed) {
+            Bitmap bm(nbits);
+            Rng rng(seed);
+            const std::uint64_t density = seed % 4; // 0: sparse … 3: dense
+            for (std::size_t i = 0; i < nbits; ++i) {
+                if (rng.next_index(4) < density + (seed % 8 >= 4 ? 1 : 0)) {
+                    bm.set(i);
+                }
+            }
+            std::vector<std::pair<std::size_t, std::size_t>> want;
+            for (std::size_t i = 0; i < nbits;) {
+                if (!bm.test(i)) {
+                    ++i;
+                    continue;
+                }
+                std::size_t end = i + 1;
+                while (end < nbits && bm.test(end)) {
+                    ++end;
+                }
+                want.emplace_back(i, end);
+                i = end;
+            }
+            std::vector<std::pair<std::size_t, std::size_t>> got;
+            bm.for_each_run([&](std::size_t first, std::size_t end) {
+                got.emplace_back(first, end);
+            });
+            ASSERT_EQ(got, want) << nbits << " bits, seed " << seed;
+        }
+    }
 }
 
 TEST(Bitmap, ResetClearsAll)

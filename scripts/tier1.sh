@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full build + test suite, a ThreadSanitizer
 # pass over the concurrent suites (the `tsan` test preset in
-# CMakePresets.json holds the list), the bench smoke shared with CI
+# CMakePresets.json holds the list), the full suite under
+# AddressSanitizer + UBSan (the `asan` preset, as CI's asan job runs
+# it: fine views decode through pointers into packed host buffers, so
+# an out-of-window read must fail here), the bench smoke shared with CI
 # (scripts/bench_smoke.sh: the storage bench, a shard_scaling repeat
 # check, one service_throughput sweep and the fig10/fig15 figures),
 # and the repository
@@ -23,6 +26,12 @@ echo "== tier 1: ThreadSanitizer (ctest --preset tsan) =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$JOBS" --target noswalker_tests
 ctest --preset tsan
+
+echo
+echo "== tier 1: AddressSanitizer + UBSan (ctest --preset asan) =="
+cmake --preset asan >/dev/null
+cmake --build build-asan -j "$JOBS" --target noswalker_tests
+ctest --preset asan -j "$JOBS"
 
 echo
 echo "== tier 1: bench smoke (micro_storage ablations + shard scaling repeat check + service sweep) =="

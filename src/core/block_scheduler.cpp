@@ -47,19 +47,27 @@ BlockScheduler::hottest() const
 }
 
 void
-BlockScheduler::heat_order(std::vector<std::uint32_t> &out) const
+BlockScheduler::heat_heap(std::vector<std::uint32_t> &heap) const
 {
-    out.clear();
+    heap.clear();
     for (std::uint32_t b = 0; b < counts_.size(); ++b) {
         if (counts_[b] != 0) {
-            out.push_back(b);
+            heap.push_back(b);
         }
     }
-    std::sort(out.begin(), out.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return counts_[a] != counts_[b] ? counts_[a] > counts_[b]
-                                                  : a < b;
-              });
+    std::make_heap(heap.begin(), heap.end(), colder());
+}
+
+std::uint32_t
+BlockScheduler::pop_hottest(std::vector<std::uint32_t> &heap) const
+{
+    if (heap.empty()) {
+        return kNoBlock;
+    }
+    std::pop_heap(heap.begin(), heap.end(), colder());
+    const std::uint32_t block = heap.back();
+    heap.pop_back();
+    return block;
 }
 
 std::vector<std::uint32_t>

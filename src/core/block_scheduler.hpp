@@ -67,11 +67,19 @@ class BlockScheduler {
     std::uint32_t hottest() const;
 
     /**
-     * Every block with waiting walkers into @p out, in hottest()'s
-     * order: count descending, equal counts toward the lowest id.  A
-     * fine round (DESIGN.md §12) takes its blocks in this order.
+     * Start a lazy heat order: every block with waiting walkers goes
+     * into the max-heap @p heap, and pop_hottest() takes them out in
+     * hottest()'s order — count descending, equal counts toward the
+     * lowest id.  A fine round (DESIGN.md §12) takes its blocks in this
+     * order and usually stops after a few, so O(B) to build plus
+     * O(log B) a pop beats sorting every busy block.
      */
-    void heat_order(std::vector<std::uint32_t> &out) const;
+    void heat_heap(std::vector<std::uint32_t> &heap) const;
+
+    /** The next block of @p heap's heat order (removed from it), or
+     *  kNoBlock once it is empty.  @pre counts unchanged since
+     *  heat_heap(). */
+    std::uint32_t pop_hottest(std::vector<std::uint32_t> &heap) const;
 
     /**
      * The up to @p k hottest blocks with waiting walkers, hottest
@@ -95,6 +103,16 @@ class BlockScheduler {
     bool fine_mode_active() const { return fine_; }
 
   private:
+    /** heat_heap()'s comparison: whether block a ranks after block b. */
+    auto
+    colder() const
+    {
+        return [this](std::uint32_t a, std::uint32_t b) {
+            return counts_[a] != counts_[b] ? counts_[a] < counts_[b]
+                                            : a > b;
+        };
+    }
+
     std::vector<std::uint64_t> counts_;
     double alpha_;
     std::uint64_t graph_bytes_;

@@ -560,9 +560,9 @@ class NosWalkerEngine {
      * Fill round_ with the next round's requests and return how many.
      * A coarse round is @p target alone.  A fine round (DESIGN.md §12)
      * takes every busy block in heat order — @p target first — until
-     * @p packer cannot place the next one's needed records in the
-     * baseline buffers, so one submission loads them all.  Each needed
-     * list is frozen here, at choice time.
+     * @p packer cannot place the next one's pages in the baseline
+     * buffers, so one submission loads them all.  Each needed list is
+     * frozen here, at choice time.
      */
     std::size_t
     build_round(std::uint32_t target, RoundPacker &packer)
@@ -577,10 +577,12 @@ class NosWalkerEngine {
             return 1;
         }
         packer.clear();
-        scheduler_->heat_order(heat_scratch_);
-        NOSWALKER_CHECK(heat_scratch_.front() == target);
+        scheduler_->heat_heap(heat_scratch_);
         std::size_t width = 0;
-        for (const std::uint32_t block : heat_scratch_) {
+        for (std::uint32_t block = scheduler_->pop_hottest(heat_scratch_);
+             block != BlockScheduler::kNoBlock;
+             block = scheduler_->pop_hottest(heat_scratch_)) {
+            NOSWALKER_CHECK(width > 0 || block == target);
             if (round_.size() == width) {
                 round_.emplace_back();
             }
@@ -589,17 +591,24 @@ class NosWalkerEngine {
             if (!packer.place(request)) {
                 break;
             }
-            fill_slots(request);
             ++width;
         }
-        // One block's records always fit one baseline buffer.
+        // One block's pages always fit one baseline buffer.
         NOSWALKER_CHECK(width > 0);
         return width;
     }
 
-    /** Point @p request at @p block; a fine one also gets the needed
-     *  list of its parked walkers and its segments.  The request's
-     *  vectors keep their capacity from round to round. */
+    /**
+     * Point @p request at @p block; a fine one also gets the needed
+     * list of its parked walkers, the slot each one's next event reads
+     * and the segments of those pages.  The request's vectors keep
+     * their capacity from round to round.
+     *
+     * Slot-exact fine loads (DESIGN.md §12): with a SlotDrawApp each
+     * parked walker needs only the page its next draw lands on.
+     * Parked walkers do not move before the block is processed, so the
+     * kernel's draw is the one dry-run here.
+     */
     void
     fill_request(storage::AsyncLoader::Request &request,
                  std::uint32_t block, bool fine)
@@ -613,33 +622,16 @@ class NosWalkerEngine {
             return;
         }
         for (const Record &rec : peek_bucket(block)) {
-            request.needed.push_back(engine::waiting_vertex(*app_, rec.w));
-        }
-        storage::BlockReader::plan_segments(*file_, *request.block,
-                                            request.needed, plan_pages_,
-                                            request.segments);
-    }
-
-    /**
-     * Slot-exact fine loads (DESIGN.md §12): with a SlotDrawApp each
-     * parked walker of @p request's block needs only the page its next
-     * draw lands on.  Parked walkers do not move before the block is
-     * processed, so the kernel's draw is the one dry-run here.  Run
-     * only once the block is placed: segments cover whole records, so
-     * the dry runs are wasted on the block that ends a round.
-     */
-    void
-    fill_slots([[maybe_unused]] storage::AsyncLoader::Request &request)
-    {
-        if constexpr (engine::kHasSlotDraw<App>) {
-            const std::vector<Record> &bucket =
-                peek_bucket(request.block->id);
-            for (std::size_t i = 0; i < bucket.size(); ++i) {
-                const graph::VertexId v = request.needed[i];
-                request.slots.push_back(engine::next_draw_slot(
-                    *app_, bucket[i], file_->degree(v)));
+            const graph::VertexId v = engine::waiting_vertex(*app_, rec.w);
+            request.needed.push_back(v);
+            if constexpr (engine::kHasSlotDraw<App>) {
+                request.slots.push_back(
+                    engine::next_draw_slot(*app_, rec, file_->degree(v)));
             }
         }
+        storage::BlockReader::plan_segments(*file_, *request.block,
+                                            request.needed, request.slots,
+                                            plan_pages_, request.segments);
     }
 
     std::uint32_t
@@ -1036,7 +1028,7 @@ class NosWalkerEngine {
     /** The round's requests (a prefix of width build_round returns),
      *  reused with their vectors' capacity from round to round. */
     std::vector<storage::AsyncLoader::Request> round_;
-    /** build_round's heat order and plan_segments' page scratch. */
+    /** build_round's heat heap and plan_segments' page scratch. */
     std::vector<std::uint32_t> heat_scratch_;
     util::Bitmap plan_pages_;
     /** The bucket being processed; take_bucket swaps its emptied

@@ -326,8 +326,8 @@ PrefetchPipeline::load_packed(const storage::AsyncLoader::Request &demand)
         spare_views_.pop_back();
     }
     response.result = reader_->load_fine_packed(
-        *demand.block, demand.needed, demand.slots, demand.segments,
-        hosts_[demand.host], demand.host_offset, response.buffer);
+        *demand.block, demand.segments, hosts_[demand.host],
+        demand.host_offset, response.buffer);
     ++live_views_;
     return response;
 }

@@ -323,8 +323,8 @@ class PrefetchPipeline {
     std::size_t live_views_ = 0;
     /** take_hosts' per-host byte scratch. */
     std::vector<std::uint64_t> host_bytes_scratch_;
-    /** Recycled views, kept with their page bitmaps and segment
-     *  vectors for the next rounds. */
+    /** Recycled views, kept with their segment vectors for the next
+     *  rounds. */
     std::vector<storage::BlockBuffer> spare_views_;
 
     std::deque<Inflight> inflight_;

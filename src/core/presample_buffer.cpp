@@ -133,6 +133,7 @@ PreSampleBuffer::direct_view(graph::VertexId v) const
     const std::uint32_t n = idx_[i + 1] - begin;
     graph::VertexView view;
     view.id = v;
+    view.out_degree = n;
     view.targets = {edges_.data() + begin, n};
     if (weighted_) {
         view.weights = {dweights_.data() + begin, n};

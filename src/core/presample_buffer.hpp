@@ -37,6 +37,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -151,6 +152,7 @@ class PreSampleBuffer {
     void
     fill_vertex(const graph::VertexView &view, Sampler &&sampler)
     {
+        assert(view.whole()); // fills come from coarse loads only
         const std::size_t i = index_of(view.id);
         const std::uint32_t slots = idx_[i + 1] - idx_[i];
         if (slots == 0) {

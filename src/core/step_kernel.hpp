@@ -51,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -224,25 +225,33 @@ class StepKernel {
     }
 
     /**
-     * Whether @p buf serves the sampling event of @p rec at @p v (of
-     * @p degree): a complete buffer holding v always does; a fine one
-     * when the page of the slot the draw lands on is resident — the
-     * whole record for apps without the SlotDrawApp hook (DESIGN.md
-     * §12).  The draw is dry-run on a copy of the walker's stream.
+     * The slot to decode @p buf's view of @p v with for the sampling
+     * event of @p rec (@p degree > 0), or nothing when @p buf does not
+     * serve it.  A complete buffer holding v serves the whole record; a
+     * fine one serves the window of the slot the draw lands on once
+     * that slot's page is resident — the whole record for apps without
+     * the SlotDrawApp hook (DESIGN.md §12).  The draw is dry-run once,
+     * on a copy of the walker's stream.
      */
-    static bool
+    static std::optional<std::uint32_t>
     block_serves(const E &eng, const App &app,
                  const storage::BlockBuffer *buf, const Record &rec,
                  graph::VertexId v, std::uint32_t degree)
     {
+        if (buf == nullptr || buf->info() == nullptr ||
+            !buf->info()->contains(v)) {
+            return std::nullopt;
+        }
+        std::uint32_t slot = graph::kWholeRecord;
         if constexpr (engine::kHasSlotDraw<App>) {
-            if (buf != nullptr && !buf->complete() &&
-                buf->info() != nullptr && buf->info()->contains(v)) {
-                return buf->vertex_loaded(
-                    *eng.file_, v, engine::next_draw_slot(app, rec, degree));
+            if (!buf->complete()) {
+                slot = engine::next_draw_slot(app, rec, degree);
             }
         }
-        return block_has(eng, buf, v);
+        if (!buf->vertex_loaded(*eng.file_, v, slot)) {
+            return std::nullopt;
+        }
+        return slot;
     }
 
     /**
@@ -324,10 +333,11 @@ class StepKernel {
             lane.source = Source::kRetire;
             return;
         }
-        const bool in_block = block_serves(eng, app, buf, rec, v, degree);
-        if (eng.config_.use_loaded_block && in_block) {
+        const std::optional<std::uint32_t> slot =
+            block_serves(eng, app, buf, rec, v, degree);
+        if (eng.config_.use_loaded_block && slot) {
             lane.source = Source::kBlock;
-            lane.view = buf->view(*eng.file_, v);
+            lane.view = buf->view(*eng.file_, v, *slot);
             lane.rng = util::Rng(util::splitmix_next(rec.rng_state));
             gather(app, rec, lane.view, lane.rng, delta);
             return;
@@ -358,9 +368,9 @@ class StepKernel {
                 lane.ps_visit = true;
             }
         }
-        if (!eng.config_.use_loaded_block && in_block) {
+        if (!eng.config_.use_loaded_block && slot) {
             lane.source = Source::kBlock;
-            lane.view = buf->view(*eng.file_, v);
+            lane.view = buf->view(*eng.file_, v, *slot);
             lane.rng = util::Rng(util::splitmix_next(rec.rng_state));
             gather(app, rec, lane.view, lane.rng, delta);
             return;

@@ -168,8 +168,9 @@ using graph::kWholeRecord;
  * fine buffer serves the walker once that page is resident.
  *
  * Same purity contract as DrawHintApp, plus exactness: at a vertex of
- * that degree, sample() must read targets[slot] and nothing else of
- * the record.
+ * that degree, sample() must read target(slot) and nothing else of
+ * the record — a fine buffer may hand it a window that holds only the
+ * slot's page of the targets (graph::VertexView).
  */
 template <typename A>
 concept SlotDrawApp =

@@ -1,5 +1,6 @@
 #include "graph/graph_file.hpp"
 
+#include <cassert>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -39,6 +40,7 @@ record_bytes_for(std::uint64_t flags)
 VertexId
 VertexView::sample_weighted(util::Rng &rng) const
 {
+    assert(whole());
     const std::size_t n = targets.size();
     if (!prob.empty()) {
         const std::size_t slot = rng.next_index(n);

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -38,7 +39,12 @@ namespace noswalker::graph {
  * A decoded view of one vertex's on-disk record.
  *
  * Spans point into a block buffer owned by the caller; the view must
- * not outlive that buffer.
+ * not outlive that buffer.  A *window* (GraphFile::decode_window) holds
+ * only the target slots [first_slot, first_slot + targets.size()) of a
+ * fine buffer's page run, and no weights or alias rows: it serves one
+ * uniform draw that lands inside it.  A *whole* view holds the full
+ * record (first_slot 0, targets.size() == degree()); weighted and alias
+ * draws, has_target and pre-sample fills only ever see whole views.
  */
 struct VertexView {
     VertexId id = kInvalidVertex;
@@ -46,12 +52,26 @@ struct VertexView {
     std::span<const Weight> weights;  ///< empty when unweighted
     std::span<const float> prob;      ///< empty without alias tables
     std::span<const VertexId> alias;  ///< empty without alias tables
+    /** Out-degree, whatever part of the targets the view holds. */
+    std::uint32_t out_degree = 0;
+    /** Slot of targets[0]: 0 in a whole view. */
+    std::uint32_t first_slot = 0;
 
     /** Out-degree. */
-    std::uint32_t
-    degree() const
+    std::uint32_t degree() const { return out_degree; }
+
+    /** Whether the view holds the whole record. */
+    bool
+    whole() const
     {
-        return static_cast<std::uint32_t>(targets.size());
+        return first_slot == 0 && targets.size() == out_degree;
+    }
+
+    /** Target slot @p slot.  @pre the view holds it. */
+    VertexId
+    target(std::uint32_t slot) const
+    {
+        return targets[slot - first_slot];
     }
 
     /**
@@ -66,11 +86,12 @@ struct VertexView {
         return static_cast<std::uint32_t>(rng.next_index(degree));
     }
 
-    /** Uniform random out-neighbour. @pre degree() > 0. */
+    /** Uniform random out-neighbour. @pre degree() > 0 and the view
+     *  holds the slot the draw lands on. */
     VertexId
     sample_uniform(util::Rng &rng) const
     {
-        return targets[uniform_slot(degree(), rng)];
+        return target(uniform_slot(degree(), rng));
     }
 
     /**
@@ -84,6 +105,7 @@ struct VertexView {
     bool
     has_target(VertexId v) const
     {
+        assert(whole());
         return std::binary_search(targets.begin(), targets.end(), v);
     }
 
@@ -119,7 +141,8 @@ struct VertexView {
     unsigned
     prefetch_uniform_draw(util::Rng probe) const
     {
-        util::prefetch_line(&targets[uniform_slot(degree(), probe)]);
+        util::prefetch_line(&targets[uniform_slot(degree(), probe) -
+                                     first_slot]);
         return 1;
     }
 
@@ -134,6 +157,7 @@ struct VertexView {
     unsigned
     prefetch_weighted_draw(util::Rng probe, unsigned max_lines = 2) const
     {
+        assert(whole());
         if (!prob.empty()) {
             const std::size_t slot = probe.next_index(targets.size());
             util::prefetch_line(&prob[slot]);
@@ -257,6 +281,7 @@ class GraphFile {
 
         VertexView view;
         view.id = v;
+        view.out_degree = deg;
         view.targets = {reinterpret_cast<const VertexId *>(base), deg};
         std::uint64_t pos =
             static_cast<std::uint64_t>(deg) * sizeof(VertexId);
@@ -271,6 +296,36 @@ class GraphFile {
             view.alias = {reinterpret_cast<const VertexId *>(base + pos),
                           deg};
         }
+        return view;
+    }
+
+    /**
+     * Decode the window of vertex @p v's targets that lies inside
+     * @p raw, the bytes beginning at absolute file offset @p raw_begin:
+     * the target slots whose entries @p raw holds, and no weights or
+     * alias rows (VertexView).  Target entries are 4-byte aligned in
+     * the file, so a page-aligned @p raw cuts them only between slots.
+     * @pre @p raw holds at least one of v's target entries.
+     */
+    VertexView
+    decode_window(VertexId v, std::span<const std::uint8_t> raw,
+                  std::uint64_t raw_begin) const
+    {
+        const std::uint64_t off = vertex_byte_offset(v);
+        const std::uint32_t deg = degree(v);
+        const std::uint64_t lo = std::max(off, raw_begin);
+        const std::uint64_t hi =
+            std::min(off + std::uint64_t{deg} * sizeof(VertexId),
+                     raw_begin + raw.size());
+        NOSWALKER_CHECK(lo < hi);
+        VertexView view;
+        view.id = v;
+        view.out_degree = deg;
+        view.first_slot =
+            static_cast<std::uint32_t>((lo - off) / sizeof(VertexId));
+        view.targets = {
+            reinterpret_cast<const VertexId *>(raw.data() + (lo - raw_begin)),
+            static_cast<std::size_t>((hi - lo) / sizeof(VertexId))};
         return view;
     }
 

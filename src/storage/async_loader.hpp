@@ -54,10 +54,11 @@ class AsyncLoader {
          *  reads, in step with `needed` (graph::kWholeRecord = the
          *  whole record); empty = whole records for all. */
         std::vector<std::uint32_t> slots;
-        /** Fine round (core::PrefetchPipeline::obtain_round): the
-         *  needed records' segments as BlockReader::plan_segments
-         *  returns them, and where core::RoundPacker placed them — the
-         *  round's host buffer `host`, from byte `host_offset`. */
+        /** Fine round (core::PrefetchPipeline::obtain_round): the runs
+         *  of the pages `needed` and `slots` read, as
+         *  BlockReader::plan_segments returns them, and where
+         *  core::RoundPacker placed them — the round's host buffer
+         *  `host`, from byte `host_offset`. */
         std::vector<PageSegment> segments;
         std::uint32_t host = 0;
         std::uint64_t host_offset = 0;

@@ -21,23 +21,48 @@ align_up(std::uint64_t x, std::uint64_t a)
 }
 
 /**
- * Call @p fn(first, end) for each run [first, end) of marked pages in
- * @p pages, a run ending early once it spans @p max_bytes.
+ * Call @p fn(segment, first, end) for each piece [first, end) of
+ * @p segments' page runs, a run cut into pieces of at most @p max_bytes.
  */
 template <typename Fn>
 void
-for_each_page_run(const util::Bitmap &pages, std::uint64_t max_bytes,
-                  Fn &&fn)
+for_each_request(std::span<const PageSegment> segments,
+                 std::uint64_t max_bytes, Fn &&fn)
 {
-    // ⌈max_bytes / page⌉ pages, without overflowing on ~0.
+    // ⌈max_bytes / page⌉ pages, without overflowing near ~0.
     const std::uint64_t max_pages =
         max_bytes / BlockReader::kPageBytes +
         (max_bytes % BlockReader::kPageBytes != 0 ? 1 : 0);
-    pages.for_each_run([&](std::uint64_t first, std::uint64_t end) {
-        for (std::uint64_t p = first; p < end; p += max_pages) {
-            fn(p, std::min(end, p + max_pages));
+    for (const PageSegment &segment : segments) {
+        for (std::uint64_t p = segment.first_page; p < segment.end_page;
+             p += max_pages) {
+            fn(segment, p,
+               std::min<std::uint64_t>(segment.end_page, p + max_pages));
         }
-    });
+    }
+}
+
+/**
+ * Pages [first, last] relative to @p aligned_begin that @p v's event
+ * reads: target @p slot's, or the whole record's on kWholeRecord.
+ * first > last when there is nothing to read (a dead end).
+ */
+std::pair<std::uint64_t, std::uint64_t>
+needed_pages(const graph::GraphFile &file, std::uint64_t aligned_begin,
+             graph::VertexId v, std::uint32_t slot)
+{
+    std::uint64_t begin = file.vertex_byte_offset(v);
+    std::uint64_t len = file.vertex_byte_size(v);
+    if (len == 0) {
+        return {1, 0};
+    }
+    if (slot != graph::kWholeRecord) {
+        NOSWALKER_CHECK(slot < file.degree(v));
+        begin += std::uint64_t{slot} * sizeof(graph::VertexId);
+        len = sizeof(graph::VertexId);
+    }
+    return {(begin - aligned_begin) / BlockReader::kPageBytes,
+            (begin + len - 1 - aligned_begin) / BlockReader::kPageBytes};
 }
 
 /** Pages of @p block's page-aligned byte span. */
@@ -53,79 +78,55 @@ span_pages(const graph::BlockInfo &block)
 
 } // namespace
 
-std::pair<std::uint64_t, std::uint64_t>
-BlockBuffer::page_range(const graph::GraphFile &file, graph::VertexId v,
-                        std::uint32_t slot) const
-{
-    std::uint64_t begin = file.vertex_byte_offset(v);
-    std::uint64_t len = file.vertex_byte_size(v);
-    if (len == 0) {
-        return {1, 0};
-    }
-    if (slot != graph::kWholeRecord) {
-        NOSWALKER_CHECK(slot < file.degree(v));
-        begin += std::uint64_t{slot} * sizeof(graph::VertexId);
-        len = sizeof(graph::VertexId);
-    }
-    return {(begin - aligned_begin_) / BlockReader::kPageBytes,
-            (begin + len - 1 - aligned_begin_) / BlockReader::kPageBytes};
-}
-
 const PageSegment *
-BlockBuffer::find_segment(const graph::GraphFile &file,
-                          graph::VertexId v) const
+BlockBuffer::find_segment(std::uint64_t page) const
 {
-    const std::uint64_t rel = file.vertex_byte_offset(v) - aligned_begin_;
-    const std::uint64_t first = rel / BlockReader::kPageBytes;
-    const std::uint64_t last =
-        (rel + file.vertex_byte_size(v) - 1) / BlockReader::kPageBytes;
-    // The last segment starting at or before the record's first page.
+    // The last segment starting at or before the page.
     auto it = std::upper_bound(
-        segments_.begin(), segments_.end(), first,
-        [](std::uint64_t page, const PageSegment &segment) {
-            return page < segment.first_page;
+        segments_.begin(), segments_.end(), page,
+        [](std::uint64_t p, const PageSegment &segment) {
+            return p < segment.first_page;
         });
     if (it == segments_.begin()) {
         return nullptr;
     }
     --it;
-    return last < it->end_page ? &*it : nullptr;
+    return page < it->end_page ? &*it : nullptr;
 }
 
 bool
 BlockBuffer::pages_loaded(const graph::GraphFile &file, graph::VertexId v,
                           std::uint32_t slot) const
 {
-    if (file.vertex_byte_size(v) == 0) {
+    const auto [first, last] = needed_pages(file, aligned_begin_, v, slot);
+    if (first > last) {
         return true;
     }
-    if (find_segment(file, v) == nullptr) {
-        return false;
-    }
-    const auto [first_page, last_page] = page_range(file, v, slot);
-    for (std::uint64_t p = first_page; p <= last_page; ++p) {
-        if (!valid_pages_.test(p)) {
-            return false;
-        }
-    }
-    return true;
+    const PageSegment *segment = find_segment(first);
+    return segment != nullptr && last < segment->end_page;
 }
 
 graph::VertexView
-BlockBuffer::decode_fine(const graph::GraphFile &file,
-                         graph::VertexId v) const
+BlockBuffer::decode_fine(const graph::GraphFile &file, graph::VertexId v,
+                         std::uint32_t slot) const
 {
-    if (file.vertex_byte_size(v) == 0) {
+    const auto [first, last] = needed_pages(file, aligned_begin_, v, slot);
+    if (first > last) {
         // A dead end reads nothing: decode its empty record in place.
         return file.decode(v, {host_, 0}, file.vertex_byte_offset(v));
     }
-    const PageSegment *segment = find_segment(file, v);
-    NOSWALKER_CHECK(segment != nullptr);
-    const std::uint64_t pages = segment->end_page - segment->first_page;
-    return file.decode(
-        v, {host_ + segment->host_offset, pages * BlockReader::kPageBytes},
+    const PageSegment *segment = find_segment(first);
+    NOSWALKER_CHECK(segment != nullptr && last < segment->end_page);
+    const std::span<const std::uint8_t> raw = {
+        host_ + segment->host_offset,
+        std::uint64_t{segment->end_page - segment->first_page} *
+            BlockReader::kPageBytes};
+    const std::uint64_t raw_begin =
         aligned_begin_ +
-            std::uint64_t{segment->first_page} * BlockReader::kPageBytes);
+        std::uint64_t{segment->first_page} * BlockReader::kPageBytes;
+    return slot == graph::kWholeRecord
+               ? file.decode(v, raw, raw_begin)
+               : file.decode_window(v, raw, raw_begin);
 }
 
 void
@@ -133,7 +134,6 @@ BlockBuffer::attach_fine(const graph::BlockInfo &block, std::uint8_t *host)
 {
     info_ = &block;
     aligned_begin_ = align_down(block.byte_begin, BlockReader::kPageBytes);
-    valid_pages_.resize(span_pages(block));
     complete_ = false;
     host_ = host;
     segments_.clear();
@@ -144,7 +144,6 @@ BlockBuffer::clear()
 {
     info_ = nullptr;
     size_ = 0; // capacity (and its reservation) is retained
-    valid_pages_.resize(0);
     complete_ = false;
     host_ = nullptr;
     segments_.clear();
@@ -208,78 +207,51 @@ BlockReader::BlockReader(const graph::GraphFile &file,
 }
 
 void
-BlockReader::prepare(const graph::BlockInfo &block, BlockBuffer &out)
-{
-    out.resize_for(block, *budget_);
-}
-
-void
-BlockReader::mark_needed_pages(
-    const graph::BlockInfo &block,
-    std::span<const graph::VertexId> needed_vertices,
-    std::span<const std::uint32_t> slots, BlockBuffer &out) const
+BlockReader::plan_segments(const graph::GraphFile &file,
+                           const graph::BlockInfo &block,
+                           std::span<const graph::VertexId> needed_vertices,
+                           std::span<const std::uint32_t> slots,
+                           util::Bitmap &pages,
+                           std::vector<PageSegment> &segments)
 {
     NOSWALKER_CHECK(slots.empty() ||
                     slots.size() == needed_vertices.size());
-    util::Bitmap &pages = out.valid_pages_;
+    const std::uint64_t aligned_begin = align_down(block.byte_begin,
+                                                   kPageBytes);
+    pages.resize(span_pages(block));
     for (std::size_t i = 0; i < needed_vertices.size(); ++i) {
         const graph::VertexId v = needed_vertices[i];
         if (!block.contains(v)) {
             continue;
         }
-        const auto [first_page, last_page] = out.page_range(
-            *file_, v, slots.empty() ? graph::kWholeRecord : slots[i]);
-        for (std::uint64_t p = first_page; p <= last_page; ++p) {
-            pages.set(p);
-        }
-    }
-}
-
-void
-BlockReader::plan_segments(const graph::GraphFile &file,
-                           const graph::BlockInfo &block,
-                           std::span<const graph::VertexId> needed_vertices,
-                           util::Bitmap &pages,
-                           std::vector<PageSegment> &segments)
-{
-    const std::uint64_t aligned_begin = align_down(block.byte_begin,
-                                                   kPageBytes);
-    pages.resize(span_pages(block));
-    for (const graph::VertexId v : needed_vertices) {
-        const std::uint64_t len = file.vertex_byte_size(v);
-        if (!block.contains(v) || len == 0) {
-            continue;
-        }
-        const std::uint64_t rel = file.vertex_byte_offset(v) - aligned_begin;
-        for (std::uint64_t p = rel / kPageBytes;
-             p <= (rel + len - 1) / kPageBytes; ++p) {
+        const auto [first, last] = needed_pages(
+            file, aligned_begin, v,
+            slots.empty() ? graph::kWholeRecord : slots[i]);
+        for (std::uint64_t p = first; p <= last; ++p) {
             pages.set(p);
         }
     }
     segments.clear();
     std::uint64_t bytes = 0;
-    for_each_page_run(pages, ~std::uint64_t{0},
-                      [&](std::uint64_t first, std::uint64_t end) {
-                          segments.push_back(
-                              {static_cast<std::uint32_t>(first),
-                               static_cast<std::uint32_t>(end), bytes});
-                          bytes += (end - first) * kPageBytes;
-                      });
+    pages.for_each_run([&](std::uint64_t first, std::uint64_t end) {
+        segments.push_back({static_cast<std::uint32_t>(first),
+                            static_cast<std::uint32_t>(end), bytes});
+        bytes += (end - first) * kPageBytes;
+    });
 }
 
 void
 BlockReader::place_in_place(const graph::BlockInfo &block,
                             std::span<const graph::VertexId> needed_vertices,
+                            std::span<const std::uint32_t> slots,
                             BlockBuffer &out) const
 {
-    // The residency bitmap doubles as the planning scratch.
-    plan_segments(*file_, block, needed_vertices, out.valid_pages_,
+    plan_segments(*file_, block, needed_vertices, slots, out.plan_pages_,
                   out.segments_);
     for (PageSegment &segment : out.segments_) {
         segment.host_offset = std::uint64_t{segment.first_page} * kPageBytes;
     }
     out.host_ = out.data_.get();
-    out.valid_pages_.reset();
 }
 
 void
@@ -292,8 +264,7 @@ BlockReader::refine(const graph::BlockInfo &block,
                     out.info()->id == block.id);
     NOSWALKER_CHECK(out.complete_);
     out.complete_ = false;
-    place_in_place(block, needed_vertices, out);
-    mark_needed_pages(block, needed_vertices, slots, out);
+    place_in_place(block, needed_vertices, slots, out);
 }
 
 void
@@ -306,7 +277,7 @@ BlockReader::reserve_host(BlockBuffer &host, std::uint64_t bytes)
 LoadResult
 BlockReader::load_coarse(const graph::BlockInfo &block, BlockBuffer &out)
 {
-    prepare(block, out);
+    out.resize_for(block, *budget_);
     LoadResult result;
     if (cache_ != nullptr) {
         if (const auto entry = cache_->find(block.id)) {
@@ -352,18 +323,16 @@ BlockReader::load_fine(const graph::BlockInfo &block,
                        BlockBuffer &out,
                        std::span<const std::uint32_t> slots)
 {
-    prepare(block, out);
-    place_in_place(block, needed_vertices, out);
-    return fill_fine(block, needed_vertices, slots, out);
+    out.resize_for(block, *budget_);
+    place_in_place(block, needed_vertices, slots, out);
+    return fill_fine(block, out);
 }
 
 LoadResult
-BlockReader::load_fine_packed(
-    const graph::BlockInfo &block,
-    std::span<const graph::VertexId> needed_vertices,
-    std::span<const std::uint32_t> slots,
-    std::span<const PageSegment> segments, BlockBuffer &host,
-    std::uint64_t host_offset, BlockBuffer &out)
+BlockReader::load_fine_packed(const graph::BlockInfo &block,
+                              std::span<const PageSegment> segments,
+                              BlockBuffer &host, std::uint64_t host_offset,
+                              BlockBuffer &out)
 {
     NOSWALKER_CHECK(host.owns_storage() && host.info() == nullptr);
     if (out.owns_storage()) {
@@ -381,68 +350,51 @@ BlockReader::load_fine_packed(
                                 kPageBytes <=
                         host.capacity_);
     }
-    return fill_fine(block, needed_vertices, slots, out);
+    return fill_fine(block, out);
 }
 
 LoadResult
-BlockReader::fill_fine(const graph::BlockInfo &block,
-                       std::span<const graph::VertexId> needed_vertices,
-                       std::span<const std::uint32_t> slots,
-                       BlockBuffer &out)
+BlockReader::fill_fine(const graph::BlockInfo &block, BlockBuffer &out)
 {
-    mark_needed_pages(block, needed_vertices, slots, out);
-    const util::Bitmap &pages = out.valid_pages_;
-    // Where the run starting at page @p first goes.  Runs arrive in
-    // page order and each lies in one segment (its pages belong to
-    // touching record extents, which merge).
-    std::size_t cursor = 0;
-    const auto dest = [&](std::uint64_t first, std::uint64_t end) {
-        while (cursor < out.segments_.size() &&
-               out.segments_[cursor].end_page <= first) {
-            ++cursor;
-        }
-        NOSWALKER_CHECK(cursor < out.segments_.size());
-        const PageSegment &segment = out.segments_[cursor];
-        NOSWALKER_CHECK(segment.first_page <= first &&
-                        end <= segment.end_page);
-        return out.host_ + segment.host_offset +
-               (first - segment.first_page) * kPageBytes;
-    };
-
     LoadResult result;
     if (cache_ != nullptr) {
         if (const auto entry = cache_->find(block.id)) {
             // The cache holds the whole coarse image; copy only the
-            // marked pages out of it instead of device I/O.
+            // segments' pages out of it instead of device I/O.
             const std::vector<std::uint8_t> &image = entry->bytes;
-            for_each_page_run(
-                pages, ~std::uint64_t{0},
-                [&](std::uint64_t first, std::uint64_t end) {
-                    const std::uint64_t lo = first * kPageBytes;
-                    const std::uint64_t hi = std::min<std::uint64_t>(
-                        end * kPageBytes, image.size());
-                    if (lo < hi) {
-                        std::copy(image.begin() + lo, image.begin() + hi,
-                                  dest(first, end));
-                    }
-                });
+            for (const PageSegment &segment : out.segments_) {
+                const std::uint64_t lo =
+                    std::uint64_t{segment.first_page} * kPageBytes;
+                const std::uint64_t hi = std::min<std::uint64_t>(
+                    std::uint64_t{segment.end_page} * kPageBytes,
+                    image.size());
+                if (lo < hi) {
+                    std::copy(image.begin() + lo, image.begin() + hi,
+                              out.host_ + segment.host_offset);
+                }
+            }
             result.from_cache = true;
             return result;
         }
     }
 
-    // Coalesce runs of marked pages into single requests (bounded by
-    // max_request_) and read them into place.
+    // Each segment is one request (cut at max_request_), like one
+    // larger NVMe command, read into place.
     const std::uint64_t device_end = file_->device().size();
-    for_each_page_run(
-        pages, max_request_, [&](std::uint64_t first, std::uint64_t end) {
+    for_each_request(
+        out.segments_, max_request_,
+        [&](const PageSegment &segment, std::uint64_t first,
+            std::uint64_t end) {
             const std::uint64_t off = out.aligned_begin_ + first * kPageBytes;
             if (off >= device_end) {
                 return;
             }
             const std::uint64_t len =
                 std::min((end - first) * kPageBytes, device_end - off);
-            file_->device().read(off, len, dest(first, end));
+            file_->device().read(off, len,
+                                 out.host_ + segment.host_offset +
+                                     (first - segment.first_page) *
+                                         kPageBytes);
             result.bytes_read += len;
             ++result.requests;
             result.modeled_seconds +=

@@ -10,13 +10,16 @@
  * one target slot its next draw reads when the app can name it
  * (engine::SlotDrawApp), else its whole record (graph::kWholeRecord).
  *
- * A fine buffer keeps its pages in *segments*: the merged page extents
- * of the needed vertices' whole records, where touching extents merge.
- * Every run of marked pages lies in one segment, and a vertex is
- * served only when its whole record does, so a decoded record is
- * always contiguous.  Segments either sit in place in the buffer's own
- * block-sized storage, or are *packed* back to back into a host
- * buffer shared by several blocks' views (a fine round, DESIGN.md §10).
+ * A fine buffer keeps its pages in *segments*: the runs of the pages
+ * its load reads (BlockReader::plan_segments), so a segment holds only
+ * bytes that were read.  Residency is per event: a slot query is served
+ * when the slot's page lies in a segment, and a graph::kWholeRecord
+ * query when the whole record lies in one.  A served slot decodes to a
+ * *window* — the part of the vertex's targets inside that segment
+ * (graph::VertexView) — and a whole record to a whole view.  Segments
+ * either sit in place in the buffer's own block-sized storage, or are
+ * *packed* back to back into a host buffer shared by several blocks'
+ * views (a fine round, DESIGN.md §10).
  */
 #pragma once
 
@@ -50,9 +53,8 @@ struct PageSegment {
  * A coarse buffer holds the page-aligned byte span of the block in its
  * own storage.  A fine buffer holds only segments (see the file
  * comment), in its own storage or packed into another buffer's (a
- * *view*, which owns no storage); only marked pages hold valid data,
- * and `vertex_loaded` reports whether what a vertex's next event reads
- * is resident.
+ * *view*, which owns no storage), and `vertex_loaded` reports whether
+ * what a vertex's next event reads is resident.
  */
 class BlockBuffer {
   public:
@@ -67,6 +69,8 @@ class BlockBuffer {
     /**
      * Whether target slot @p slot of vertex @p v's record is resident —
      * with the default graph::kWholeRecord, whether the whole record is.
+     * A dead end reads nothing and is resident in any buffer of its
+     * block.
      */
     bool
     vertex_loaded(const graph::GraphFile &file, graph::VertexId v,
@@ -78,14 +82,20 @@ class BlockBuffer {
         return complete_ || pages_loaded(file, v, slot);
     }
 
-    /** Decode vertex @p v. @pre vertex_loaded(file, v). */
+    /**
+     * Decode vertex @p v for an event reading @p slot: the whole record
+     * on graph::kWholeRecord or in a complete buffer, else the window
+     * of its targets that the slot's segment holds.
+     * @pre vertex_loaded(file, v, slot).
+     */
     graph::VertexView
-    view(const graph::GraphFile &file, graph::VertexId v) const
+    view(const graph::GraphFile &file, graph::VertexId v,
+         std::uint32_t slot = graph::kWholeRecord) const
     {
         if (complete_) {
             return file.decode(v, bytes(), aligned_begin_);
         }
-        return decode_fine(file, v);
+        return decode_fine(file, v, slot);
     }
 
     /** Bytes currently held by the buffer. */
@@ -132,50 +142,44 @@ class BlockBuffer {
   private:
     friend class BlockReader;
 
-    /** Fine mode: whether @p v's whole record lies in one segment and
-     *  every page holding @p slot of it (all of it on kWholeRecord) is
-     *  marked.  A dead end has nothing to read and always is. */
+    /** Fine mode: whether one segment holds every page @p v's event
+     *  reads (target @p slot's, or the whole record's on kWholeRecord).
+     *  A dead end has nothing to read and always is. */
     bool pages_loaded(const graph::GraphFile &file, graph::VertexId v,
                       std::uint32_t slot) const;
 
-    /** The segment holding all of @p v's (non-empty) record, or null. */
-    const PageSegment *find_segment(const graph::GraphFile &file,
-                                    graph::VertexId v) const;
+    /** The segment holding block-relative page @p page, or null. */
+    const PageSegment *find_segment(std::uint64_t page) const;
 
-    /** Fine-mode view(): decode through the record's segment; a dead
-     *  end decodes without one. */
+    /** Fine-mode view(): decode through the segment holding what the
+     *  event reads; a dead end decodes without one. */
     graph::VertexView decode_fine(const graph::GraphFile &file,
-                                  graph::VertexId v) const;
+                                  graph::VertexId v,
+                                  std::uint32_t slot) const;
 
     /** Attach to @p block as a fine buffer over @p host (pages from
-     *  its first byte on), no pages marked. */
+     *  its first byte on), holding no segment. */
     void attach_fine(const graph::BlockInfo &block, std::uint8_t *host);
 
     /** Grow the storage (and its reservation against @p budget) to at
      *  least @p bytes; never shrinks. */
     void reserve(std::uint64_t bytes, util::MemoryBudget &budget);
 
-    /** Pages [first, last] covering what @p v's event reads: target
-     *  @p slot, or the whole record on kWholeRecord.  first > last
-     *  when there is nothing to read (a dead end). */
-    std::pair<std::uint64_t, std::uint64_t>
-    page_range(const graph::GraphFile &file, graph::VertexId v,
-               std::uint32_t slot) const;
-
     const graph::BlockInfo *info_ = nullptr;
     std::uint64_t aligned_begin_ = 0;
     /** Storage of capacity_ bytes, never zeroed: only bytes a load
-     *  wrote are ever decoded (fine mode checks valid_pages_).  Null
-     *  in a view. */
+     *  wrote are ever decoded (fine mode decodes through segments).
+     *  Null in a view. */
     std::unique_ptr<std::uint8_t[]> data_;
     std::uint64_t size_ = 0;
     std::uint64_t capacity_ = 0;
-    util::Bitmap valid_pages_; ///< fine mode: which pages are resident
     /** Fine mode: where the segments' host offsets point (data_ for an
      *  in-place buffer, another buffer's storage for a view). */
     std::uint8_t *host_ = nullptr;
-    /** Fine mode: the needed records' merged page extents. */
+    /** Fine mode: the runs of pages the load read, in page order. */
     std::vector<PageSegment> segments_;
+    /** In-place fine loads: plan_segments' page scratch. */
+    util::Bitmap plan_pages_;
     bool complete_ = false;
     util::Reservation reservation_;
     std::uint64_t allocations_ = 0;
@@ -220,7 +224,7 @@ class BlockReader {
      * holding its entry of @p slots, or its whole record where that
      * entry is graph::kWholeRecord.  Empty @p slots means whole records
      * for all.  Vertices outside the block are ignored.  A shared-cache
-     * hit copies only the marked pages.
+     * hit copies only those pages.
      */
     LoadResult load_fine(const graph::BlockInfo &block,
                          std::span<const graph::VertexId> needed_vertices,
@@ -228,21 +232,20 @@ class BlockReader {
                          std::span<const std::uint32_t> slots = {});
 
     /**
-     * load_fine() into a packed view: @p out (its old storage, if any,
-     * is released) is attached to @p block over @p host's storage,
-     * holding @p segments — as plan_segments() returned them for
-     * @p needed_vertices — at @p host_offset onwards.  Reads exactly
-     * the page runs load_fine() reads for the same arguments, and
-     * gives the same residency.
+     * A fine load into a packed view: @p out (its old storage, if any,
+     * is released) is attached to @p block over @p host's storage and
+     * reads @p segments — as plan_segments() returned them — to
+     * @p host_offset onwards.  Reads exactly the page runs load_fine()
+     * reads for the arguments they were planned from, and gives the
+     * same residency.
      * @pre @p host holds host_offset + the segments' bytes
      *      (reserve_host).
      */
-    LoadResult load_fine_packed(
-        const graph::BlockInfo &block,
-        std::span<const graph::VertexId> needed_vertices,
-        std::span<const std::uint32_t> slots,
-        std::span<const PageSegment> segments, BlockBuffer &host,
-        std::uint64_t host_offset, BlockBuffer &out);
+    LoadResult load_fine_packed(const graph::BlockInfo &block,
+                                std::span<const PageSegment> segments,
+                                BlockBuffer &host,
+                                std::uint64_t host_offset,
+                                BlockBuffer &out);
 
     /** Detach @p host from any block and grow its storage to at least
      *  @p bytes, for packed views to borrow. */
@@ -250,7 +253,7 @@ class BlockReader {
 
     /**
      * Narrow a coarse (complete) buffer of @p block to a fine-mode view
-     * exposing only the pages load_fine would mark for the same
+     * exposing only the pages load_fine would read for the same
      * arguments, without any I/O.  Bit-identical residency to a fresh
      * load_fine — used to serve a fine demand from a speculatively
      * coarse-loaded buffer.
@@ -262,44 +265,35 @@ class BlockReader {
 
     /**
      * The segments of a fine load of @p needed_vertices in @p block:
-     * the runs of the page bitmap marking their whole records (@p pages
-     * is scratch), in page order with host offsets packed from 0.
-     * Vertices outside the block and dead ends add nothing.
+     * the runs of the pages their events read — each entry of
+     * @p slots names a target slot, whose page is read, or
+     * graph::kWholeRecord, whose whole record is; empty @p slots means
+     * whole records for all — in page order with host offsets packed
+     * from 0.  @p pages is scratch.  Vertices outside the block and
+     * dead ends add nothing.  Every fine buffer holds what this plans.
      */
     static void
     plan_segments(const graph::GraphFile &file,
                   const graph::BlockInfo &block,
                   std::span<const graph::VertexId> needed_vertices,
+                  std::span<const std::uint32_t> slots,
                   util::Bitmap &pages, std::vector<PageSegment> &segments);
 
     /** The graph file being read. */
     const graph::GraphFile &file() const { return *file_; }
 
   private:
-    /** Attach @p out to @p block and size its buffer (budgeted). */
-    void prepare(const graph::BlockInfo &block, BlockBuffer &out);
-
-    /** Mark in @p out the pages each needed vertex's event reads (its
-     *  slot's page, or its whole record on kWholeRecord or empty
-     *  @p slots). */
-    void mark_needed_pages(const graph::BlockInfo &block,
-                           std::span<const graph::VertexId> needed_vertices,
-                           std::span<const std::uint32_t> slots,
-                           BlockBuffer &out) const;
-
-    /** Give the in-place fine buffer @p out the segments of
-     *  @p needed_vertices, each at its own block-relative offset. */
+    /** Plan @p out's segments for the arguments of load_fine(), each
+     *  at its own block-relative offset of @p out's storage. */
     void place_in_place(const graph::BlockInfo &block,
                         std::span<const graph::VertexId> needed_vertices,
+                        std::span<const std::uint32_t> slots,
                         BlockBuffer &out) const;
 
-    /** Mark @p out's needed pages and read their runs — from the
-     *  shared cache's image on a hit, else from the device — into
-     *  its segments.  Shared by every fine load. */
-    LoadResult fill_fine(const graph::BlockInfo &block,
-                         std::span<const graph::VertexId> needed_vertices,
-                         std::span<const std::uint32_t> slots,
-                         BlockBuffer &out);
+    /** Read @p out's segments — from the shared cache's image on a
+     *  hit, else from the device — into place.  Shared by every fine
+     *  load. */
+    LoadResult fill_fine(const graph::BlockInfo &block, BlockBuffer &out);
 
     const graph::GraphFile *file_;
     util::MemoryBudget *budget_;

@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/block_scheduler.hpp"
@@ -39,6 +40,7 @@
 #include "storage/mem_device.hpp"
 #include "util/bitmap.hpp"
 #include "util/memory_budget.hpp"
+#include "util/rng.hpp"
 
 namespace noswalker {
 namespace {
@@ -95,8 +97,8 @@ class FineRound : public testing::Test {
         request.slots = std::move(slots);
         util::Bitmap pages;
         storage::BlockReader::plan_segments(*file_, *request.block,
-                                            request.needed, pages,
-                                            request.segments);
+                                            request.needed, request.slots,
+                                            pages, request.segments);
         return request;
     }
 
@@ -166,6 +168,286 @@ TEST(FineRoundPacker, NextFitEndsTheRoundAtTheFirstMisfit)
     EXPECT_EQ(d.host, 0u);
     auto huge = of_pages(11);
     EXPECT_FALSE(packer.place(huge)) << "larger than any host";
+}
+
+/**
+ * Two-step walks from one fixed vertex on one fixed stream, so a test
+ * can pick the slots both draws land on.
+ */
+class FixedStartWalk {
+  public:
+    using WalkerT = engine::Walker;
+
+    FixedStartWalk(graph::VertexId start, std::uint64_t stream)
+        : start_(start), stream_(stream)
+    {
+    }
+
+    WalkerT generate(std::uint64_t n) { return WalkerT{n, start_, 0}; }
+
+    std::uint64_t stream(std::uint64_t) const { return stream_; }
+
+    graph::VertexId
+    sample(const graph::VertexView &view, util::Rng &rng)
+    {
+        return view.sample_uniform(rng);
+    }
+
+    std::uint32_t
+    draw_slot(const WalkerT &, std::uint32_t degree, util::Rng probe) const
+    {
+        return graph::VertexView::uniform_slot(degree, probe);
+    }
+
+    bool active(const WalkerT &w) const { return w.step < 2; }
+
+    bool
+    action(WalkerT &w, graph::VertexId next, util::Rng &)
+    {
+        w.location = next;
+        ++w.step;
+        return true;
+    }
+
+  private:
+    graph::VertexId start_;
+    std::uint64_t stream_;
+};
+
+static_assert(engine::SlotDrawApp<FixedStartWalk>);
+static_assert(engine::StreamKeyApp<FixedStartWalk>);
+
+TEST(FineRoundLateArrival, SlotOnAPageAnotherLoadReadStepsOn)
+{
+    // Records (edge region from byte 88): vertex 0 fills page 0; a = 1
+    // (100 targets, all u) runs from page 0 into page 1; u = 2 (1100
+    // targets) runs from page 1 into page 2.  A walker parked at a
+    // whose draw lands in page 1 moves to u, which it was not parked
+    // at: its next draw is served from page 1 and its record is not
+    // resident whole.
+    constexpr graph::VertexId kA = 1;
+    constexpr graph::VertexId kU = 2;
+    const std::vector<std::uint32_t> degrees = {960, 100, 1100, 10};
+    std::vector<graph::EdgeIndex> offsets = {0};
+    std::vector<graph::VertexId> targets;
+    for (graph::VertexId v = 0; v < degrees.size(); ++v) {
+        const graph::VertexId to = v == kA ? kU : v == kU ? 0 : 3;
+        targets.insert(targets.end(), degrees[v], to);
+        offsets.push_back(targets.size());
+    }
+    const graph::CsrGraph graph(std::move(offsets), std::move(targets));
+    storage::MemDevice device;
+    graph::GraphFile::write(graph, device);
+    const graph::GraphFile file(device);
+    const graph::BlockPartition partition(file, 1 << 20);
+    ASSERT_EQ(partition.num_blocks(), 1u);
+    const auto page_of = [&](graph::VertexId v, std::uint32_t slot) {
+        return (file.vertex_byte_offset(v) +
+                std::uint64_t{slot} * sizeof(graph::VertexId)) /
+               storage::BlockReader::kPageBytes;
+    };
+    ASSERT_EQ(page_of(kA, 0), 0u);
+    ASSERT_EQ(page_of(kA, degrees[kA] - 1), 1u);
+    ASSERT_EQ(page_of(kU, 0), 1u);
+    ASSERT_EQ(page_of(kU, degrees[kU] - 1), 2u);
+
+    // The pages a's and then u's draw land on for a walker stream:
+    // the kernel dry-runs each event on the stream's next state.
+    const FixedStartWalk probe_app(kA, 0);
+    const auto draw_pages = [&](std::uint64_t stream) {
+        engine::Stepped<engine::Walker> rec;
+        rec.rng_state = stream;
+        const std::uint64_t at_a =
+            page_of(kA, engine::next_draw_slot(probe_app, rec, degrees[kA]));
+        util::splitmix_next(rec.rng_state);
+        const std::uint64_t at_u =
+            page_of(kU, engine::next_draw_slot(probe_app, rec, degrees[kU]));
+        return std::pair(at_a, at_u);
+    };
+    std::uint64_t on_page = 0;
+    std::uint64_t off_page = 0;
+    for (std::uint64_t stream = 1; on_page == 0 || off_page == 0;
+         ++stream) {
+        const auto [at_a, at_u] = draw_pages(stream);
+        if (at_a != 1) {
+            continue;
+        }
+        (at_u == 1 ? on_page : off_page) = stream;
+    }
+
+    core::EngineConfig cfg = core::EngineConfig::full(0, 1 << 20);
+    cfg.presample = false;
+    cfg.prefetch_depth = 0;
+    cfg.alpha = 0.05; // fine from the first load
+    const auto run = [&](std::uint64_t stream) {
+        FixedStartWalk app(kA, stream);
+        core::NosWalkerEngine<FixedStartWalk> eng(file, partition, cfg);
+        return eng.run(app, 1);
+    };
+    const engine::RunStats served = run(on_page);
+    const engine::RunStats stalled = run(off_page);
+    ASSERT_EQ(served.blocks_loaded, 0u) << "fine from the first load";
+    EXPECT_EQ(served.steps, 2u);
+    EXPECT_EQ(stalled.steps, 2u);
+    EXPECT_EQ(served.fine_loads, 1u) << "both steps in one visit";
+    EXPECT_EQ(served.graph_bytes_read, storage::BlockReader::kPageBytes);
+    EXPECT_EQ(stalled.fine_loads, 2u) << "u's draw needs page 2";
+    EXPECT_EQ(served.stalls + 1, stalled.stalls);
+}
+
+TEST_F(FineRound, SlotRoundsPackReadPages)
+{
+    // The six largest records of every block, each needing one slot:
+    // a round packs the pages those slots read, so it takes more blocks
+    // than packing the same walkers' whole records does.
+    std::vector<storage::AsyncLoader::Request> slot_round;
+    std::vector<storage::AsyncLoader::Request> whole_round;
+    for (const graph::BlockInfo &block : partition_->blocks()) {
+        std::vector<graph::VertexId> needed;
+        for (graph::VertexId v = block.first_vertex; v < block.end_vertex;
+             ++v) {
+            needed.push_back(v);
+        }
+        std::sort(needed.begin(), needed.end(),
+                  [&](graph::VertexId a, graph::VertexId b) {
+                      return file_->degree(a) != file_->degree(b)
+                                 ? file_->degree(a) > file_->degree(b)
+                                 : a < b;
+                  });
+        needed.resize(std::min<std::size_t>(needed.size(), 6));
+        std::vector<std::uint32_t> slots;
+        for (const graph::VertexId v : needed) {
+            slots.push_back(static_cast<std::uint32_t>(
+                (v * 2654435761ULL) % file_->degree(v)));
+        }
+        slot_round.push_back(fine_demand(block.id, needed, slots));
+        whole_round.push_back(fine_demand(block.id, needed));
+    }
+    const auto place = [&](std::vector<storage::AsyncLoader::Request> &round) {
+        core::RoundPacker packer(aligned(), 2);
+        std::size_t width = 0;
+        while (width < round.size() && packer.place(round[width])) {
+            ++width;
+        }
+        round.resize(width);
+        return width;
+    };
+    const std::size_t slot_width = place(slot_round);
+    const std::size_t whole_width = place(whole_round);
+    EXPECT_GT(slot_width, whole_width);
+
+    // Host bytes used: the distinct slot pages, nothing more.
+    std::uint64_t used = 0;
+    std::uint64_t pages = 0;
+    for (const storage::AsyncLoader::Request &request : slot_round) {
+        const storage::PageSegment &last = request.segments.back();
+        used += last.host_offset +
+                std::uint64_t{last.end_page - last.first_page} *
+                    storage::BlockReader::kPageBytes;
+        std::vector<std::uint64_t> distinct;
+        const std::uint64_t base = request.block->byte_begin /
+                                   storage::BlockReader::kPageBytes;
+        for (std::size_t k = 0; k < request.needed.size(); ++k) {
+            distinct.push_back(
+                (file_->vertex_byte_offset(request.needed[k]) +
+                 std::uint64_t{request.slots[k]} * sizeof(graph::VertexId)) /
+                    storage::BlockReader::kPageBytes -
+                base);
+        }
+        std::sort(distinct.begin(), distinct.end());
+        pages += std::unique(distinct.begin(), distinct.end()) -
+                 distinct.begin();
+    }
+    EXPECT_EQ(used, pages * storage::BlockReader::kPageBytes);
+
+    // The loaded views read those pages and serve every needed slot.
+    util::MemoryBudget budget;
+    storage::BlockReader reader(*file_, budget);
+    storage::BlockBufferPool pool;
+    storage::AsyncLoader loader(reader, false, 1, &pool);
+    core::PrefetchPipeline pipeline(loader, reader, pool, 0, nullptr,
+                                    80e-6);
+    std::vector<storage::AsyncLoader::Response> out;
+    pipeline.obtain_round(slot_round, out);
+    std::uint64_t read = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        read += out[i].result.bytes_read;
+        const storage::AsyncLoader::Request &demand = slot_round[i];
+        for (std::size_t k = 0; k < demand.needed.size(); ++k) {
+            const graph::VertexId v = demand.needed[k];
+            const std::uint32_t slot = demand.slots[k];
+            ASSERT_TRUE(out[i].buffer.vertex_loaded(*file_, v, slot));
+            EXPECT_EQ(out[i].buffer.view(*file_, v, slot).target(slot),
+                      graph_.neighbors(v)[slot]);
+        }
+    }
+    EXPECT_EQ(read, used);
+    for (auto &response : out) {
+        pipeline.recycle(std::move(response.buffer));
+    }
+    pipeline.finish();
+}
+
+TEST_F(FineRound, WholeRecordRoundsPlanRecordExtents)
+{
+    // An app that names no slot (Node2Vec, every second-order trial)
+    // plans whole records: the runs of the pages its records span,
+    // touching extents merged — with no slots or all kWholeRecord.
+    for (const graph::BlockInfo &block : partition_->blocks()) {
+        std::vector<graph::VertexId> needed;
+        for (graph::VertexId v = block.first_vertex; v < block.end_vertex;
+             v += 7) {
+            needed.push_back(v);
+        }
+        const std::uint64_t base =
+            block.byte_begin / storage::BlockReader::kPageBytes;
+        std::vector<bool> marked;
+        for (const graph::VertexId v : needed) {
+            if (file_->degree(v) == 0) {
+                continue;
+            }
+            const std::uint64_t begin = file_->vertex_byte_offset(v);
+            const std::uint64_t end = begin + file_->vertex_byte_size(v);
+            for (std::uint64_t p =
+                     begin / storage::BlockReader::kPageBytes - base;
+                 p <= (end - 1) / storage::BlockReader::kPageBytes - base;
+                 ++p) {
+                if (marked.size() <= p) {
+                    marked.resize(p + 1, false);
+                }
+                marked[p] = true;
+            }
+        }
+        std::vector<storage::PageSegment> want;
+        std::uint64_t offset = 0;
+        for (std::uint32_t p = 0; p < marked.size(); ++p) {
+            if (!marked[p]) {
+                continue;
+            }
+            std::uint32_t end = p;
+            while (end < marked.size() && marked[end]) {
+                ++end;
+            }
+            want.push_back({p, end, offset});
+            offset += std::uint64_t{end - p} *
+                      storage::BlockReader::kPageBytes;
+            p = end;
+        }
+        const std::vector<std::uint32_t> whole(needed.size(),
+                                               graph::kWholeRecord);
+        for (const auto &request :
+             {fine_demand(block.id, needed), fine_demand(block.id, needed,
+                                                         whole)}) {
+            ASSERT_EQ(request.segments.size(), want.size()) << block.id;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(request.segments[i].first_page,
+                          want[i].first_page);
+                EXPECT_EQ(request.segments[i].end_page, want[i].end_page);
+                EXPECT_EQ(request.segments[i].host_offset,
+                          want[i].host_offset);
+            }
+        }
+    }
 }
 
 TEST_F(FineRound, PipelineChargesOneQueueLatencyPerRound)
@@ -279,14 +561,16 @@ TEST_F(FineRound, PackedViewHoldsWhatAFreshFineLoadHolds)
             const graph::VertexId v = demand.needed[k];
             const std::uint32_t slot = demand.slots[k];
             ASSERT_TRUE(view.vertex_loaded(*file_, v, slot)) << v;
-            const auto targets = view.view(*file_, v).targets;
+            const graph::VertexView decoded = view.view(*file_, v, slot);
             const auto want_targets = graph_.neighbors(v);
-            ASSERT_EQ(targets.size(), want_targets.size());
+            ASSERT_EQ(decoded.degree(), want_targets.size());
             if (slot != graph::kWholeRecord) {
-                EXPECT_EQ(targets[slot], want_targets[slot]) << v;
+                EXPECT_EQ(decoded.target(slot), want_targets[slot]) << v;
             } else {
-                EXPECT_TRUE(std::equal(targets.begin(), targets.end(),
-                                       want_targets.begin()))
+                EXPECT_TRUE(std::equal(decoded.targets.begin(),
+                                       decoded.targets.end(),
+                                       want_targets.begin(),
+                                       want_targets.end()))
                     << v;
             }
         }

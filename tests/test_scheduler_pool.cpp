@@ -4,12 +4,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/block_scheduler.hpp"
 #include "core/walker_pool.hpp"
 #include "engine/walker.hpp"
 #include "engine/walker_spill.hpp"
 #include "storage/mem_device.hpp"
 #include "util/memory_budget.hpp"
+#include "util/rng.hpp"
 
 namespace noswalker {
 namespace {
@@ -85,14 +88,52 @@ TEST(BlockScheduler, TopKBreaksTiesTowardLowestIdAtEveryRank)
     const std::vector<std::uint32_t> want = {1, 3, 0, 5};
     EXPECT_EQ(top, want);
     // A fine round's heat order is the same ranking, every busy block.
-    std::vector<std::uint32_t> heat = {42};
-    sched.heat_order(heat);
+    std::vector<std::uint32_t> heap = {42};
+    sched.heat_heap(heap);
+    std::vector<std::uint32_t> heat;
+    for (std::uint32_t b = sched.pop_hottest(heap);
+         b != core::BlockScheduler::kNoBlock; b = sched.pop_hottest(heap)) {
+        heat.push_back(b);
+    }
     EXPECT_EQ(heat, want);
     const std::uint32_t skip[] = {1};
     const std::vector<std::uint32_t> rest =
         sched.top_k_excluding(2, skip);
     const std::vector<std::uint32_t> want_rest = {3, 0};
     EXPECT_EQ(rest, want_rest);
+}
+
+TEST(BlockScheduler, HeatHeapPopsInHottestOrder)
+{
+    // Many blocks, many ties: the lazy heap yields exactly the sorted
+    // ranking (count descending, ties toward the lowest id).
+    constexpr std::uint32_t kBlocks = 300;
+    core::BlockScheduler sched(kBlocks, 4.0, 1 << 20, 4096);
+    util::SplitMix64 mix(17);
+    for (std::uint32_t b = 0; b < kBlocks; ++b) {
+        for (std::uint64_t n = mix.next() % 6; n > 0; --n) {
+            sched.add_walker(b);
+        }
+    }
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t b = 0; b < kBlocks; ++b) {
+        if (sched.count(b) != 0) {
+            want.push_back(b);
+        }
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return sched.count(a) > sched.count(b);
+                     });
+    std::vector<std::uint32_t> heap;
+    sched.heat_heap(heap);
+    ASSERT_EQ(sched.pop_hottest(heap), sched.hottest());
+    std::vector<std::uint32_t> got = {sched.hottest()};
+    for (std::uint32_t b = sched.pop_hottest(heap);
+         b != core::BlockScheduler::kNoBlock; b = sched.pop_hottest(heap)) {
+        got.push_back(b);
+    }
+    EXPECT_EQ(got, want);
 }
 
 TEST(BlockScheduler, FineModeRule)

@@ -289,6 +289,7 @@ TEST(SecondOrder, HeightDecidedTrialsMatchTheWeightRule)
     graph::VertexView view;
     view.id = kCand;
     view.targets = adjacency;
+    view.out_degree = static_cast<std::uint32_t>(adjacency.size());
 
     const graph::VertexId kNone = graph::kInvalidVertex;
     struct Case {

@@ -51,7 +51,7 @@ struct HubGraph {
     std::unique_ptr<graph::BlockPartition> partition;
 
     explicit HubGraph(std::uint64_t block_bytes = 32 << 10,
-                      unsigned scale = 11)
+                      unsigned scale = 11, bool weighted = false)
         : graph(graph::generate_rmat({.scale = scale,
                                       .edge_factor = 32,
                                       .a = 0.57,
@@ -59,7 +59,7 @@ struct HubGraph {
                                       .c = 0.19,
                                       .seed = 5,
                                       .symmetrize = false,
-                                      .weighted = false}))
+                                      .weighted = weighted}))
     {
         graph::GraphFile::write(graph, device);
         file = std::make_unique<graph::GraphFile>(device);
@@ -233,7 +233,7 @@ TEST(PrefetchSlotReader, SlotMarksExactlyItsPage)
         ASSERT_EQ(r.requests, 1u);
         ASSERT_TRUE(buffer.vertex_loaded(*fixture.file, hub, slot)) << slot;
         ASSERT_FALSE(buffer.vertex_loaded(*fixture.file, hub));
-        ASSERT_EQ(buffer.view(*fixture.file, hub).targets[slot],
+        ASSERT_EQ(buffer.view(*fixture.file, hub, slot).target(slot),
                   fixture.graph.neighbors(hub)[slot]);
         const bool page_edge = slot == 0 || slot + 1 == degree ||
                                page_of(slot - 1) != page_of(slot) ||
@@ -379,9 +379,149 @@ TEST(PrefetchSlotReader, CacheHitCopiesOnlyTheMarkedPages)
         ASSERT_EQ(resident_slots(*fixture.file, buffer, v),
                   resident_slots(*fixture.file, device_load, v));
     }
-    EXPECT_EQ(buffer.view(*fixture.file, hub)
-                  .targets[fixture.file->degree(hub) - 1],
+    const std::uint32_t last = fixture.file->degree(hub) - 1;
+    EXPECT_EQ(buffer.view(*fixture.file, hub, last).target(last),
               fixture.graph.neighbors(hub).back());
+}
+
+/** The slot of @p v's targets at the middle of its record's middle
+ *  page, so neither end of the record shares that page. */
+std::uint32_t
+middle_page_slot(const graph::GraphFile &file, const graph::BlockInfo &block,
+                 graph::VertexId v)
+{
+    const std::vector<std::uint64_t> pages = record_pages(file, block, v);
+    const std::uint64_t base =
+        block.byte_begin / BlockReader::kPageBytes * BlockReader::kPageBytes;
+    const std::uint64_t middle = base +
+                                 pages[pages.size() / 2] *
+                                     BlockReader::kPageBytes +
+                                 BlockReader::kPageBytes / 2;
+    return static_cast<std::uint32_t>((middle - file.vertex_byte_offset(v)) /
+                                      sizeof(graph::VertexId));
+}
+
+TEST(BlockBufferWindow, SlotPageServesTheSlotNotTheRecord)
+{
+    const HubGraph fixture;
+    const graph::VertexId hub = fixture.hub();
+    const graph::BlockInfo &block =
+        fixture.partition->block(fixture.partition->block_of(hub));
+    ASSERT_GE(record_pages(*fixture.file, block, hub).size(), 3u);
+    const std::uint32_t slot = middle_page_slot(*fixture.file, block, hub);
+
+    util::MemoryBudget budget;
+    BlockReader reader(*fixture.file, budget);
+    BlockBuffer buffer;
+    const std::vector<graph::VertexId> needed = {hub};
+    const std::vector<std::uint32_t> slots = {slot};
+    const storage::LoadResult r =
+        reader.load_fine(block, needed, buffer, slots);
+    EXPECT_EQ(r.bytes_read, BlockReader::kPageBytes);
+    EXPECT_TRUE(buffer.vertex_loaded(*fixture.file, hub, slot));
+    EXPECT_FALSE(buffer.vertex_loaded(*fixture.file, hub));
+
+    // The window is the slot's page of the targets: not the record.
+    const graph::VertexView window = buffer.view(*fixture.file, hub, slot);
+    EXPECT_FALSE(window.whole());
+    EXPECT_EQ(window.degree(), fixture.file->degree(hub));
+    EXPECT_EQ(window.targets.size(),
+              BlockReader::kPageBytes / sizeof(graph::VertexId));
+    EXPECT_GT(window.first_slot, 0u);
+    const auto want = fixture.graph.neighbors(hub);
+    for (std::uint32_t s = window.first_slot;
+         s < window.first_slot + window.targets.size(); ++s) {
+        ASSERT_TRUE(buffer.vertex_loaded(*fixture.file, hub, s)) << s;
+        ASSERT_EQ(window.target(s), want[s]) << s;
+    }
+}
+
+TEST(BlockBufferWindow, WindowDrawsWhatACompleteViewDraws)
+{
+    const HubGraph fixture;
+    const graph::VertexId hub = fixture.hub();
+    const graph::BlockInfo &block =
+        fixture.partition->block(fixture.partition->block_of(hub));
+    const std::uint32_t degree = fixture.file->degree(hub);
+    util::MemoryBudget budget;
+    BlockReader reader(*fixture.file, budget);
+    BlockBuffer complete;
+    reader.load_coarse(block, complete);
+    const graph::VertexView whole = complete.view(*fixture.file, hub);
+    ASSERT_TRUE(whole.whole());
+
+    BlockBuffer fine;
+    std::uint32_t windows = 0;
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        util::Rng probe(seed);
+        const std::uint32_t slot =
+            graph::VertexView::uniform_slot(degree, probe);
+        const std::vector<graph::VertexId> needed = {hub};
+        const std::vector<std::uint32_t> slots = {slot};
+        reader.load_fine(block, needed, fine, slots);
+        ASSERT_TRUE(fine.vertex_loaded(*fixture.file, hub, slot));
+        const graph::VertexView window = fine.view(*fixture.file, hub, slot);
+        windows += window.whole() ? 0 : 1;
+        util::Rng a(seed);
+        util::Rng b(seed);
+        ASSERT_EQ(window.sample_uniform(a), whole.sample_uniform(b)) << seed;
+        ASSERT_EQ(a(), b()) << "same draws consumed, seed " << seed;
+    }
+    EXPECT_EQ(windows, 64u);
+}
+
+TEST(BlockBufferWindow, WeightedWindowHoldsNoWeights)
+{
+    const HubGraph fixture(32 << 10, 11, /*weighted=*/true);
+    ASSERT_TRUE(fixture.file->weighted());
+    const graph::VertexId hub = fixture.hub();
+    const graph::BlockInfo &block =
+        fixture.partition->block(fixture.partition->block_of(hub));
+    const std::uint32_t degree = fixture.file->degree(hub);
+    const std::uint64_t targets_end =
+        fixture.file->vertex_byte_offset(hub) +
+        std::uint64_t{degree} * sizeof(graph::VertexId);
+    ASSERT_NE(targets_end % BlockReader::kPageBytes, 0u)
+        << "the last slot's page must also hold weights";
+    util::MemoryBudget budget;
+    BlockReader reader(*fixture.file, budget);
+    BlockBuffer buffer;
+    const auto want = fixture.graph.neighbors(hub);
+    for (const std::uint32_t slot : {0u, degree / 2, degree - 1}) {
+        const std::vector<graph::VertexId> needed = {hub};
+        const std::vector<std::uint32_t> slots = {slot};
+        reader.load_fine(block, needed, buffer, slots);
+        const graph::VertexView window =
+            buffer.view(*fixture.file, hub, slot);
+        EXPECT_TRUE(window.weights.empty()) << slot;
+        EXPECT_TRUE(window.prob.empty()) << slot;
+        EXPECT_LE(window.first_slot + window.targets.size(), degree)
+            << "the window runs into the weights, slot " << slot;
+        EXPECT_EQ(window.target(slot), want[slot]) << slot;
+    }
+}
+
+TEST(BlockBufferWindow, DeadEndDecodesWithoutASegment)
+{
+    const HubGraph fixture;
+    graph::VertexId dead = graph::kInvalidVertex;
+    for (graph::VertexId v = 0; v < fixture.file->num_vertices(); ++v) {
+        if (fixture.file->degree(v) == 0) {
+            dead = v;
+            break;
+        }
+    }
+    ASSERT_NE(dead, graph::kInvalidVertex) << "the fixture has a dead end";
+    const graph::BlockInfo &block =
+        fixture.partition->block(fixture.partition->block_of(dead));
+    util::MemoryBudget budget;
+    BlockReader reader(*fixture.file, budget);
+    BlockBuffer buffer;
+    const std::vector<graph::VertexId> needed = {dead};
+    const storage::LoadResult r = reader.load_fine(block, needed, buffer);
+    EXPECT_EQ(r.requests, 0u) << "a dead end reads nothing";
+    ASSERT_TRUE(buffer.vertex_loaded(*fixture.file, dead));
+    EXPECT_EQ(buffer.view(*fixture.file, dead).degree(), 0u);
 }
 
 /**

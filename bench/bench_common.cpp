@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/memory_plan.hpp"
+
 namespace noswalker::bench {
 
 BenchEnv::BenchEnv()
@@ -48,10 +50,8 @@ BenchEnv::get(graph::DatasetId id)
 std::uint64_t
 BenchEnv::floor_for(const GraphHandle &handle)
 {
-    const std::uint64_t page = 4096;
-    const std::uint64_t buffers =
-        2 * ((handle.partition->max_block_bytes() / page + 2) * page);
-    return handle.file->index_bytes() + buffers + 64 * 1024;
+    return handle.file->index_bytes() +
+           2 * core::block_buffer_bytes(*handle.partition) + 64 * 1024;
 }
 
 std::uint64_t

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/common.hpp"
+#include "core/memory_plan.hpp"
 #include "engine/app.hpp"
 #include "engine/run_stats.hpp"
 #include "graph/graph_file.hpp"
@@ -59,10 +60,8 @@ class DrunkardMobEngine {
         util::MemoryBudget budget(memory_budget_);
         util::Reservation index_rsv(budget, file_->index_bytes(),
                                     "csr index");
-        const std::uint64_t page = storage::BlockReader::kPageBytes;
         util::Reservation buffer_rsv(
-            budget, (partition_->max_block_bytes() / page + 2) * page,
-            "block buffer");
+            budget, core::block_buffer_bytes(*partition_), "block buffer");
         // The defining constraint: every walker state lives in memory.
         util::Reservation walkers_rsv(budget,
                                       total_walkers * sizeof(WalkerT),

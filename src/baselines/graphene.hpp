@@ -17,6 +17,7 @@
 
 #include <vector>
 
+#include "core/memory_plan.hpp"
 #include "engine/app.hpp"
 #include "engine/run_stats.hpp"
 #include "engine/walker_spill.hpp"
@@ -60,10 +61,8 @@ class GrapheneEngine {
         util::MemoryBudget budget(memory_budget_);
         util::Reservation index_rsv(budget, file_->index_bytes(),
                                     "csr index");
-        const std::uint64_t page = storage::BlockReader::kPageBytes;
         util::Reservation buffer_rsv(
-            budget, (partition_->max_block_bytes() / page + 2) * page,
-            "block buffer");
+            budget, core::block_buffer_bytes(*partition_), "block buffer");
         // Bounded walker buffer with disk swap for the overflow, as
         // in the other GraphChi-generation systems.
         const std::uint64_t buffer_bytes = std::max<std::uint64_t>(

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "baselines/common.hpp"
+#include "core/memory_plan.hpp"
 #include "engine/app.hpp"
 #include "engine/run_stats.hpp"
 #include "engine/walker_spill.hpp"
@@ -84,10 +85,8 @@ class GraphWalkerEngine {
         util::MemoryBudget budget(memory_budget_);
         util::Reservation index_rsv(budget, file_->index_bytes(),
                                     "csr index");
-        const std::uint64_t page = storage::BlockReader::kPageBytes;
         util::Reservation buffer_rsv(
-            budget, (partition_->max_block_bytes() / page + 2) * page,
-            "block buffer");
+            budget, core::block_buffer_bytes(*partition_), "block buffer");
 
         // Fixed-size walker buffer; overflow swaps through the spill
         // device.

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "baselines/common.hpp"
+#include "core/memory_plan.hpp"
 #include "engine/app.hpp"
 #include "engine/run_stats.hpp"
 #include "engine/walker_spill.hpp"
@@ -57,11 +58,9 @@ class GraSorwEngine {
         util::MemoryBudget budget(memory_budget_);
         util::Reservation index_rsv(budget, file_->index_bytes(),
                                     "csr index");
-        const std::uint64_t page = storage::BlockReader::kPageBytes;
         // Bi-block scheduling keeps two block buffers resident.
         util::Reservation buffer_rsv(
-            budget,
-            2 * (partition_->max_block_bytes() / page + 2) * page,
+            budget, 2 * core::block_buffer_bytes(*partition_),
             "bi-block buffers");
         // Bucket-based walk management with skewed walk storage: a
         // bounded in-memory buffer, overflow swapped to disk.

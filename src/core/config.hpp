@@ -14,11 +14,6 @@ namespace noswalker::core {
  *  generous; the buffer byte budget is the real bound. */
 inline constexpr std::uint32_t kMaxPresamplesPerVertex = 1024;
 
-/** Fraction of the budget left after the CSR index and the block
- *  buffers granted to the walker pool.  The paper's walker pools
- *  "initially occupy most of the memory". */
-inline constexpr double kWalkerMemoryFraction = 0.5;
-
 /** Tunables of the NosWalker engine. */
 struct EngineConfig {
     /** Memory cap in bytes (0 = unlimited). */
@@ -91,9 +86,9 @@ struct EngineConfig {
     /**
      * Graph shards executed concurrently by shard::ShardedEngine (1 =
      * the plain single-engine path).  Each shard owns a contiguous
-     * block range, a private modeled device, and a 1/N slice of the
-     * memory budget; walkers crossing a shard boundary migrate in
-     * batches flushed as block buckets drain and admitted at
+     * block range, a private modeled device, and a slice of the
+     * memory budget split by need; walkers crossing a shard boundary
+     * migrate in batches flushed as block buckets drain and admitted at
      * deterministic round barriers.  Output is bit-identical
      * at every value (DESIGN.md §11); note the sharded path runs with
      * pre-sampling off, so compare shard counts against each other,

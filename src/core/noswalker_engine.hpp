@@ -51,6 +51,7 @@
 
 #include "core/block_scheduler.hpp"
 #include "core/config.hpp"
+#include "core/memory_plan.hpp"
 #include "core/prefetch_pipeline.hpp"
 #include "core/presample_pool.hpp"
 #include "core/step_kernel.hpp"
@@ -68,7 +69,6 @@
 #include "storage/shared_block_cache.hpp"
 #include "util/bitmap.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 #include "util/memory_budget.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -78,43 +78,6 @@ namespace noswalker::core {
 
 /** Disk utilisation the async-I/O path achieves (paper §4.4: 70–90 %). */
 inline constexpr double kAsyncIoEfficiency = 0.8;
-
-/**
- * Resident CSR index bytes an engine owning blocks
- * [@p first_block, @p end_block) is charged (DESIGN.md §11): the
- * offsets of its own vertices plus one end entry, and — only when the
- * range leaves some vertex to another shard — a ⌈|V|/8⌉ B out-edge
- * bitmap.  The bitmap answers the one off-slice index read that
- * decides anything: StepKernel::resolve's degree check, which retires
- * a walker landing on another shard's dead end instead of emigrating
- * it.  A range covering every vertex is charged file.index_bytes().
- */
-inline std::uint64_t
-index_charge(const graph::GraphFile &file,
-             const graph::BlockPartition &partition,
-             std::uint32_t first_block, std::uint32_t end_block)
-{
-    const std::uint64_t owned =
-        partition.block(end_block - 1).end_vertex -
-        partition.block(first_block).first_vertex;
-    if (owned >= file.num_vertices()) {
-        return file.index_bytes();
-    }
-    return (owned + 1) * sizeof(graph::EdgeIndex) +
-           (std::uint64_t{file.num_vertices()} + 7) / 8;
-}
-
-/**
- * Bytes of one resident block buffer: the largest block of
- * @p partition rounded out to whole pages, plus the page a block's
- * unaligned start and end can add.
- */
-inline std::uint64_t
-block_buffer_bytes(const graph::BlockPartition &partition)
-{
-    const std::uint64_t page = storage::BlockReader::kPageBytes;
-    return (partition.max_block_bytes() / page + 2) * page;
-}
 
 /**
  * Walker-oriented out-of-core random walk engine.
@@ -274,9 +237,9 @@ class NosWalkerEngine {
         storage::BlockBufferPool buffer_pool;
         storage::AsyncLoader loader(
             reader, config_.loader_threads > 0,
-            std::max<std::size_t>(prefetch_slots_, 1), &buffer_pool);
+            std::max<std::size_t>(plan_.spec_slots, 1), &buffer_pool);
         PrefetchPipeline pipeline(
-            loader, reader, buffer_pool, prefetch_slots_, shared_cache_,
+            loader, reader, buffer_pool, plan_.spec_slots, shared_cache_,
             file_->device().model().queue_latency);
 
         App &a = app;
@@ -291,12 +254,11 @@ class NosWalkerEngine {
         // A fine round packs its blocks' needed records into the
         // baseline buffers setup charged, never into speculation slots:
         // its composition must not depend on prefetch_depth.
-        RoundPacker packer(block_buffer_bytes(*partition_),
-                           single_buffer_ ? 1 : 2);
+        RoundPacker packer(plan_.buffer_bytes, plan_.buffers);
         std::vector<storage::AsyncLoader::Response> responses;
         while (generated_ < total_ || pool_->live() > 0) {
             pipeline.poll();
-            const std::uint32_t target = choose_block();
+            const std::uint32_t target = scheduler_->hottest();
             if (target == BlockScheduler::kNoBlock) {
                 // Only in-flight generation remains.
                 cpu.reset();
@@ -388,7 +350,6 @@ class NosWalkerEngine {
     {
         stats_ = engine::RunStats{};
         stats_.engine = "NosWalker";
-        stats_.pipelined = true; // set false later in single-buffer mode
         run_seed_ = seed_override_.value_or(config_.seed);
         seed_override_.reset();
         // Shard rounds never pre-sample: reservoir contents vary with
@@ -413,132 +374,62 @@ class NosWalkerEngine {
     void
     setup(util::MemoryBudget &budget, std::uint64_t total)
     {
-        // CSR index stays in memory (§3.3.1); a shard holds only the
-        // slice of the blocks it owns (index_charge).
-        index_rsv_ = util::Reservation(
-            budget,
-            shard_mode_ ? index_charge(*file_, *partition_, owned_begin_,
-                                       owned_end_)
-                        : file_->index_bytes(),
-            "csr index");
+        // One plan (DESIGN.md §10 "Memory plan"), reserved in its
+        // order.  A shard holds only its own slice of the CSR index.
+        plan_ = plan_memory(
+            {budget.limit(), budget.available(),
+             shard_mode_ ? index_charge(*file_, *partition_, owned_begin_,
+                                        owned_end_)
+                         : file_->index_bytes(),
+             block_buffer_bytes(*partition_), sizeof(Record), total,
+             presample_enabled_},
+            config_);
+        plan_rsv_.emplace_back(budget, plan_.index_bytes, "csr index");
+        // The buffer pool recycles the storage, so the high-water mark
+        // is the whole charge.
+        plan_rsv_.emplace_back(budget, plan_.buffers * plan_.buffer_bytes,
+                               "block buffers");
 
-        // Resident block buffers: the depth-independent baseline of
-        // two (the block being processed plus one lookahead, as in
-        // double buffering), charged once up front — the buffer pool
-        // recycles the storage, so the high-water mark is the whole
-        // charge.  Extra speculative slots are reserved *last*, from
-        // whatever the walker pool and pre-sample pool leave over, so
-        // the walker cap and pre-sample sizing — and therefore the
-        // walk schedule — never depend on prefetch_depth.
-        const std::uint64_t aligned = block_buffer_bytes(*partition_);
-        const std::uint64_t buffer_share = (budget.available() * 35) / 100;
-        single_buffer_ =
-            budget.limit() != 0 && 2 * aligned > buffer_share;
-        buffer_rsv_ = util::Reservation(
-            budget, single_buffer_ ? aligned : 2 * aligned,
-            "block buffers");
-
-        const std::uint64_t rest = budget.available();
         const std::uint32_t num_blocks = partition_->num_blocks();
         scheduler_ = std::make_unique<BlockScheduler>(
             num_blocks, config_.alpha, file_->edge_region_bytes(),
             static_cast<std::uint32_t>(storage::BlockReader::kPageBytes));
-
-        if (config_.walker_management) {
-            std::uint64_t cap = config_.max_walkers;
-            if (cap == 0) {
-                const std::uint64_t by_budget =
-                    budget.limit() == 0
-                        ? std::uint64_t{1} << 18
-                        : static_cast<std::uint64_t>(
-                              kWalkerMemoryFraction *
-                              static_cast<double>(rest)) /
-                              sizeof(Record);
-                cap = std::max<std::uint64_t>(
-                    64, std::min<std::uint64_t>(by_budget,
-                                                std::uint64_t{1} << 20));
-            }
-            cap = std::max<std::uint64_t>(1, std::min(cap, total));
-            pool_ = std::make_unique<WalkerPool<Record>>(num_blocks, cap,
-                                                         budget);
-        } else {
-            // Base-implementation mode: all walker states exist up
-            // front; only a bounded buffer is memory-resident and the
-            // overflow swaps through a dedicated device (§2.4.2).
-            const std::uint64_t buffer_bytes = std::max<std::uint64_t>(
-                sizeof(Record),
-                budget.limit() == 0
-                    ? total * sizeof(Record)
-                    : static_cast<std::uint64_t>(
-                          kWalkerMemoryFraction *
-                          static_cast<double>(rest)));
-            const std::uint64_t resident_cap =
-                std::max<std::uint64_t>(1, buffer_bytes / sizeof(Record));
-            pool_ = std::make_unique<WalkerPool<Record>>(
-                num_blocks, std::max<std::uint64_t>(total, 1), budget,
-                std::min(buffer_bytes, total * sizeof(Record)));
+        pool_ = std::make_unique<WalkerPool<Record>>(
+            num_blocks, plan_.walker_cap, budget, plan_.walker_bytes);
+        if (!config_.walker_management) {
+            // Walkers beyond the resident buffer swap through their own
+            // device, charged per app state, not stream word (§2.4.2).
             swap_device_ = std::make_unique<storage::MemDevice>(
                 file_->device().model());
-            // Swap traffic is charged per app-walker state: the stream
-            // word is engine bookkeeping, not "vertex data" (§2.4.2).
             spill_ = std::make_unique<engine::WalkerSpill>(
-                *swap_device_, sizeof(WalkerT), resident_cap, num_blocks);
+                *swap_device_, sizeof(WalkerT), plan_.resident_walkers,
+                num_blocks);
         }
 
         if (presample_enabled_) {
-            std::uint64_t ps_total = std::max<std::uint64_t>(
-                4096, budget.limit() == 0
-                          ? std::uint64_t{64} << 20
-                          : static_cast<std::uint64_t>(
-                                config_.presample_memory_fraction *
-                                static_cast<double>(budget.available())));
-            if (budget.limit() != 0) {
-                // Never over-claim a nearly spent budget: a too-small
-                // pool degrades to skipped fills, not a failed run.
-                ps_total = std::min(ps_total, budget.available());
-            }
             PreSampleBuffer::BuildParams params;
             // Hot blocks deserve deep buffers: cap one block at a
             // quarter of the pool and let coldest-buffer eviction
             // arbitrate the rest (§3.3.3).
-            params.max_bytes = std::max<std::uint64_t>(4096, ps_total / 4);
+            params.max_bytes = std::max<std::uint64_t>(
+                4096, plan_.presample_bytes / 4);
             params.base_quota = config_.presamples_per_vertex;
             params.max_quota = kMaxPresamplesPerVertex;
             params.low_degree_cutoff = config_.low_degree_cutoff;
-            // Claim the pool share up front and hand the buffers their
-            // own accountant: fills then compete only with each other
-            // for a cap that is identical at every prefetch depth,
-            // never with the speculation buffers on the global budget
-            // (§10) — otherwise eviction pressure, pre-sample content,
-            // and the walk itself would vary with the depth.
-            ps_rsv_ = util::Reservation(budget, ps_total,
-                                        "presample pool");
+            // The cap is claimed up front and the buffers charge their
+            // own accountant, so eviction pressure, pre-sample content
+            // and the walk never vary with the depth (§10).
+            plan_rsv_.emplace_back(budget, plan_.presample_bytes,
+                                   "presample pool");
             presamples_ = std::make_unique<PreSamplePool>(
-                *file_, num_blocks, ps_total, params);
+                *file_, num_blocks, plan_.presample_bytes, params);
         }
 
-        // Speculative lookahead slots beyond the baseline buffer pair,
-        // funded strictly from the slack left after the pre-sample
-        // pool's up-front claim.  Shrinking the depth never changes
-        // walk output — the engine always processes the scheduler's
-        // hottest block (§10).
-        prefetch_slots_ = 0;
-        if (!single_buffer_ && config_.prefetch_depth > 0) {
-            prefetch_slots_ = config_.prefetch_depth;
-            if (budget.limit() != 0) {
-                const std::uint64_t spare = budget.available();
-                while (prefetch_slots_ > 1 &&
-                       (prefetch_slots_ - 1) * aligned > spare) {
-                    --prefetch_slots_;
-                }
-            }
-            if (prefetch_slots_ > 1) {
-                spec_rsv_ = util::Reservation(
-                    budget, (prefetch_slots_ - 1) * aligned,
-                    "speculation buffers");
-            }
+        if (plan_.spec_slots > 1) {
+            plan_rsv_.emplace_back(budget, plan_.spec_bytes(),
+                                   "speculation buffers");
         }
-        stats_.pipelined = !single_buffer_;
+        stats_.pipelined = plan_.buffers == 2;
 
         if (config_.step_threads > 1) {
             if (external_pool_ != nullptr) {
@@ -621,7 +512,7 @@ class NosWalkerEngine {
         if (!fine) {
             return;
         }
-        for (const Record &rec : peek_bucket(block)) {
+        for (const Record &rec : pool_->bucket_view(block)) {
             const graph::VertexId v = engine::waiting_vertex(*app_, rec.w);
             request.needed.push_back(v);
             if constexpr (engine::kHasSlotDraw<App>) {
@@ -632,12 +523,6 @@ class NosWalkerEngine {
         storage::BlockReader::plan_segments(*file_, *request.block,
                                             request.needed, request.slots,
                                             plan_pages_, request.segments);
-    }
-
-    std::uint32_t
-    choose_block() const
-    {
-        return scheduler_->hottest();
     }
 
     /**
@@ -664,13 +549,6 @@ class NosWalkerEngine {
             }
             pipeline.speculate(partition_->block(next));
         }
-    }
-
-    /** Bucket view without draining it (fine-mode needed lists). */
-    const std::vector<Record> &
-    peek_bucket(std::uint32_t block) const
-    {
-        return pool_->bucket_view(block);
     }
 
     /** Generate walkers while the pool admits them (Algorithm 1 l.7). */
@@ -738,18 +616,6 @@ class NosWalkerEngine {
         }
     }
 
-    /** Build/refill the block's pre-sample buffer from a coarse load. */
-    void
-    refill_presamples(App &app,
-                      const storage::AsyncLoader::Response &response)
-    {
-        PreSampleBuffer *fresh =
-            presamples_->prepare(*response.block, *scheduler_);
-        if (fresh != nullptr) {
-            fill_buffer(app, response, *fresh);
-        }
-    }
-
     /**
      * Fill @p fresh from the loaded block, fanned out over the step
      * pool in fixed-size vertex chunks.  Each chunk samples from a
@@ -795,19 +661,17 @@ class NosWalkerEngine {
         }
     }
 
-    PreSampleBuffer *
-    find_presamples(std::uint32_t block)
-    {
-        return presamples_->find(block);
-    }
-
     /** Service the freshly loaded block (Algorithm 1 lines 9-12). */
     void
     process_block(App &app, const storage::AsyncLoader::Response &response)
     {
         const std::uint32_t id = response.block->id;
+        // A coarse load builds or refills the block's pre-samples.
         if (!response.fine && presample_enabled_) {
-            refill_presamples(app, response);
+            if (PreSampleBuffer *fresh =
+                    presamples_->prepare(*response.block, *scheduler_)) {
+                fill_buffer(app, response, *fresh);
+            }
         }
         if (spill_) {
             spill_->activate(id);
@@ -985,10 +849,7 @@ class NosWalkerEngine {
     {
         presamples_.reset();
         pool_.reset();
-        index_rsv_.release();
-        buffer_rsv_.release();
-        spec_rsv_.release();
-        ps_rsv_.release();
+        plan_rsv_.clear();
     }
 
     const graph::GraphFile *file_;
@@ -1020,9 +881,8 @@ class NosWalkerEngine {
     storage::SharedBlockCache *shared_cache_ = nullptr;
 
     util::MemoryBudget unbudgeted_{0};
-    bool single_buffer_ = false;
-    /** Speculative lookahead slots after budget auto-shrink (§10). */
-    std::size_t prefetch_slots_ = 0;
+    /** The run's memory split (setup). */
+    MemoryPlan plan_;
     /** Scratch for top_up_speculation's exclusion list. */
     std::vector<std::uint32_t> exclude_scratch_;
     /** The round's requests (a prefix of width build_round returns),
@@ -1034,12 +894,9 @@ class NosWalkerEngine {
     /** The bucket being processed; take_bucket swaps its emptied
      *  storage back into the pool's bucket. */
     std::vector<Record> bucket_scratch_;
-    util::Reservation index_rsv_;
-    util::Reservation buffer_rsv_;
-    /** Extra speculation buffers beyond the baseline pair (§10). */
-    util::Reservation spec_rsv_;
-    /** Up-front global claim backing the pre-sample pool (§10). */
-    util::Reservation ps_rsv_;
+    /** plan_'s regions but the walker pool (which holds its own), in
+     *  reservation order. */
+    std::vector<util::Reservation> plan_rsv_;
 
     /** Persistent private step pool (survives reset/finalize so the
      *  hire cost is paid once per engine, not per run). */

@@ -205,18 +205,6 @@ PrefetchPipeline::poll()
     }
 }
 
-storage::AsyncLoader::Response
-PrefetchPipeline::adapt(storage::AsyncLoader::Response response,
-                        const storage::AsyncLoader::Request &demand)
-{
-    if (demand.fine && !response.fine) {
-        reader_->refine(*demand.block, demand.needed, response.buffer,
-                        demand.slots);
-        response.fine = true;
-    }
-    return response;
-}
-
 PrefetchPipeline::Parked
 PrefetchPipeline::take_covered(const storage::AsyncLoader::Request &demand)
 {
@@ -236,7 +224,12 @@ PrefetchPipeline::take_covered(const storage::AsyncLoader::Request &demand)
         admitted_.erase(banked);
     }
     ++stats_.prefetch_hits;
-    parked.response = adapt(std::move(parked.response), demand);
+    if (demand.fine) {
+        // Speculation loads coarse: narrow it to the demand's pages.
+        reader_->refine(*demand.block, demand.needed,
+                        parked.response.buffer, demand.slots);
+        parked.response.fine = true;
+    }
     return parked;
 }
 

@@ -304,11 +304,6 @@ class PrefetchPipeline {
     /** Return the round's host buffers to the pool. */
     void release_hosts();
 
-    /** Adapt a speculative result to @p demand (coarse → fine). */
-    storage::AsyncLoader::Response
-    adapt(storage::AsyncLoader::Response response,
-          const storage::AsyncLoader::Request &demand);
-
     storage::AsyncLoader *loader_;
     storage::BlockReader *reader_;
     storage::BlockBufferPool *pool_;

@@ -246,29 +246,9 @@ class PreSampleBuffer {
     }
 
     /**
-     * Hint @p v's slot storage ahead of a sample()/direct_view() draw
-     * — the step kernel's gather stage for pre-sample-served lanes
-     * (DESIGN.md §12).  Pure read hint; never touches cursors.
-     * @return the number of hints issued.
-     */
-    unsigned
-    prefetch_slots(graph::VertexId v, unsigned max_lines = 2) const
-    {
-        const std::size_t i = index_of(v);
-        const std::uint32_t begin = idx_[i];
-        const std::uint32_t slots = idx_[i + 1] - begin;
-        if (slots == 0) {
-            return 0;
-        }
-        return util::prefetch_range(
-            edges_.data() + begin,
-            std::size_t{slots} * sizeof(graph::VertexId), max_lines);
-    }
-
-    /**
-     * Exact-slot variant of prefetch_slots: dry-run the draw on
+     * Hint the slot a sample() draw of @p v reads: dry-run the draw on
      * @p probe — a copy of the exact per-event stream sample() will
-     * consume — and hint the one slot it lands on (DESIGN.md §12).
+     * consume — and prefetch the one slot it lands on (DESIGN.md §12).
      * Pure read hint; never touches cursors.
      * @return the number of hints issued.  @pre has(v) && !is_direct(v).
      */

@@ -302,7 +302,7 @@ class StepKernel {
                 }
                 const std::uint32_t b = eng.partition_->block_of(c);
                 if (eng.presample_enabled_) {
-                    PreSampleBuffer *ps = eng.find_presamples(b);
+                    PreSampleBuffer *ps = eng.presamples_->find(b);
                     if (ps != nullptr && ps->is_direct(c)) {
                         lane.source = Source::kCandidate;
                         lane.view = ps->direct_view(c);
@@ -345,7 +345,7 @@ class StepKernel {
         // Found once: the pre-sample lookup and a stall share it.
         const std::uint32_t b = eng.partition_->block_of(v);
         if (eng.presample_enabled_) {
-            PreSampleBuffer *ps = eng.find_presamples(b);
+            PreSampleBuffer *ps = eng.presamples_->find(b);
             if (ps != nullptr) {
                 if (ps->is_direct(v)) {
                     lane.source = Source::kPsDirect;

@@ -7,10 +7,10 @@
 #include <utility>
 
 #include "core/config.hpp"
+#include "core/memory_plan.hpp"
 #include "core/noswalker_engine.hpp"
 #include "service/service_app.hpp"
 #include "shard/sharded_engine.hpp"
-#include "storage/block_reader.hpp"
 #include "util/error.hpp"
 
 namespace noswalker::service {
@@ -189,18 +189,13 @@ WalkService::min_run_footprint(const graph::GraphFile &file,
                                const graph::BlockPartition &partition,
                                unsigned num_shards)
 {
-    // Mirrors NosWalkerEngine::setup() floors, once per shard of the
-    // plan a ShardedEngine would build: the shard's CSR index charge,
-    // one coarse block buffer (page-aligned, single-buffer degraded
-    // mode), and the 64-walker minimum pool.
-    const std::uint64_t aligned = core::block_buffer_bytes(partition);
     const shard::ShardPlan plan(partition, std::max(1u, num_shards));
     std::uint64_t floor = 0;
     for (unsigned s = 0; s < plan.num_shards(); ++s) {
-        const shard::ShardRange &range = plan.shard(s);
-        floor += core::index_charge(file, partition, range.first_block,
-                                    range.end_block) +
-                 aligned + 64 * sizeof(engine::Stepped<ServiceWalker>);
+        floor += core::single_buffer_floor(file, partition,
+                                           plan.shard(s).first_block,
+                                           plan.shard(s).end_block) +
+                 core::kMinWalkers * sizeof(engine::Stepped<ServiceWalker>);
     }
     return floor;
 }
@@ -674,6 +669,9 @@ WalkService::run_batch(Batch &batch, BatchRunner &runner)
             runner.shard_stats()) {
         std::lock_guard lock(shard_mutex_);
         for (const engine::RunStats &s : *per_shard) {
+            if (shard_modeled_samples_.size() == kShardSampleWindow) {
+                shard_modeled_samples_.pop_front();
+            }
             shard_modeled_samples_.push_back(s.modeled_seconds());
         }
     }
@@ -825,7 +823,7 @@ std::vector<double>
 WalkService::shard_modeled_samples() const
 {
     std::lock_guard lock(shard_mutex_);
-    return shard_modeled_samples_;
+    return {shard_modeled_samples_.begin(), shard_modeled_samples_.end()};
 }
 
 } // namespace noswalker::service

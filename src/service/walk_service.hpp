@@ -28,6 +28,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -126,10 +127,14 @@ class WalkService {
     /** Coalesced batches awaiting a worker (0 after stop()). */
     std::size_t batch_queue_depth() const { return batch_queue_.size(); }
 
+    /** Shard samples kept: the most recent, oldest dropped first. */
+    static constexpr std::size_t kShardSampleWindow = 256;
+
     /**
      * Per-shard modeled-seconds samples: one per shard per sharded
-     * batch run (empty when num_shards == 1).  The benches compute
-     * per-shard p99 modeled latency from these.
+     * batch run, the last kShardSampleWindow of them (empty when
+     * num_shards == 1).  The benches compute per-shard p99 modeled
+     * latency from these.
      */
     std::vector<double> shard_modeled_samples() const;
 
@@ -138,10 +143,9 @@ class WalkService {
 
     /**
      * Smallest shared budget one engine run over this graph needs at
-     * @p num_shards shards: per shard of the ShardPlan, its CSR index
-     * charge (core::index_charge) + one coarse block buffer + the
-     * minimum walker pool.  Requests against a smaller budget are
-     * rejected at submission.
+     * @p num_shards shards: per shard of the ShardPlan, its
+     * core::single_buffer_floor and a pool of core::kMinWalkers.
+     * Requests against a smaller budget are rejected at submission.
      */
     static std::uint64_t
     min_run_footprint(const graph::GraphFile &file,
@@ -248,7 +252,7 @@ class WalkService {
     std::unordered_map<std::uint64_t, std::size_t> tenant_in_flight_;
 
     mutable std::mutex shard_mutex_;
-    std::vector<double> shard_modeled_samples_;
+    std::deque<double> shard_modeled_samples_;
 };
 
 } // namespace noswalker::service

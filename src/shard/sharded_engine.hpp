@@ -119,10 +119,7 @@ class ShardedEngine {
      * @param partition  1-D block partition of @p file.
      * @param config  engine configuration; num_shards picks the shard
      *                count (clamped to the block count), memory_budget
-     *                is split by need: each shard gets its
-     *                single-buffer floor (index charge of its range
-     *                plus one block buffer) and an equal share of
-     *                the rest.
+     *                is split by need (build_shards).
      */
     ShardedEngine(const graph::GraphFile &file,
                   const graph::BlockPartition &partition,
@@ -356,21 +353,18 @@ class ShardedEngine {
     {
         const unsigned n = plan_.num_shards();
         // Split the budget by need (DESIGN.md §11): each shard's slice
-        // is its single-buffer floor — the index charge of its own
-        // range plus one block buffer — and an equal share of the
-        // rest.  A budget below the floors' sum cannot run anyway; it
-        // splits in proportion to them and the shards' setup reports
-        // the shortfall.
+        // is its single-buffer floor and an equal share of the rest.
+        // A budget below the floors' sum cannot run anyway; it splits
+        // in proportion to them and the shards' setup reports the
+        // shortfall.
         std::vector<std::uint64_t> slices(n, 0);
         if (config_.memory_budget != 0) {
             const std::uint64_t budget = config_.memory_budget;
             std::uint64_t total_need = 0;
             for (unsigned s = 0; s < n; ++s) {
-                const ShardRange &range = plan_.shard(s);
-                slices[s] = core::index_charge(*file_, *partition_,
-                                               range.first_block,
-                                               range.end_block) +
-                            core::block_buffer_bytes(*partition_);
+                slices[s] = core::single_buffer_floor(
+                    *file_, *partition_, plan_.shard(s).first_block,
+                    plan_.shard(s).end_block);
                 total_need += slices[s];
             }
             for (std::uint64_t &slice : slices) {

@@ -112,22 +112,18 @@ AsyncLoader::try_wait()
 AsyncLoader::Response
 AsyncLoader::execute(Request &request)
 {
+    // Fine loads never come here: a fine round is packed
+    // (core::PrefetchPipeline::load_packed), and speculation is coarse.
+    NOSWALKER_CHECK(!request.fine);
     Response response;
     response.block = request.block;
-    response.fine = request.fine;
     response.ticket = request.ticket;
     if (pool_ != nullptr) {
         response.buffer = pool_->acquire();
     }
     try {
-        if (request.fine) {
-            response.result =
-                reader_->load_fine(*request.block, request.needed,
-                                   response.buffer, request.slots);
-        } else {
-            response.result =
-                reader_->load_coarse(*request.block, response.buffer);
-        }
+        response.result =
+            reader_->load_coarse(*request.block, response.buffer);
     } catch (...) {
         response.error = std::current_exception();
     }

@@ -102,12 +102,14 @@ class AsyncLoader {
     std::size_t depth() const { return depth_; }
 
     /**
-     * Queue a lookahead load and return its ticket. @pre can_submit().
+     * Queue a coarse lookahead load and return its ticket.
+     * @pre can_submit() and !request.fine (fine loads are packed by
+     * core::PrefetchPipeline, never run here).
      */
     std::uint64_t submit(Request request);
 
     /**
-     * Execute @p request on the calling thread and return the load;
+     * Execute coarse @p request on the calling thread and return it;
      * rethrows its error, as wait() does.  Takes the next ticket, so
      * ticket order is the order of submit() and load_now() calls.
      * @pre !outstanding() (nothing is queued ahead of it).

@@ -14,6 +14,7 @@
 
 #include "apps/node2vec.hpp"
 #include "apps/ppr.hpp"
+#include "core/memory_plan.hpp"
 #include "engine/app.hpp"
 #include "engine/walker.hpp"
 #include "util/rng.hpp"
@@ -291,11 +292,9 @@ inline std::uint64_t
 tight_budget(const graph::GraphFile &file,
              const graph::BlockPartition &partition, double fraction = 0.33)
 {
-    const std::uint64_t page = 4096;
-    const std::uint64_t buffers =
-        2 * ((partition.max_block_bytes() / page + 2) * page);
-    const std::uint64_t floor =
-        file.index_bytes() + buffers + 48 * 1024;
+    const std::uint64_t floor = file.index_bytes() +
+                                2 * core::block_buffer_bytes(partition) +
+                                48 * 1024;
     const auto frac = static_cast<std::uint64_t>(
         fraction * static_cast<double>(file.file_bytes()));
     return std::max(floor, frac);

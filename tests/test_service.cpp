@@ -315,6 +315,35 @@ TEST(WalkService, ShardedServiceRunsBetweenSliceAndCopyFloors)
     }
 }
 
+TEST(WalkService, ShardSamplesKeepTheMostRecentWindow)
+{
+    // One sample per shard per batch, the oldest dropped once the
+    // window is full: a long-lived service holds a fixed number.
+    Fixture s(graph::generate_uniform(1000, 8, 5), 4096);
+    ServiceConfig cfg;
+    cfg.num_workers = 1;
+    cfg.max_batch = 1;
+    cfg.batch_window_seconds = 0.0;
+    cfg.cache_bytes = 0;
+    cfg.num_shards = 2;
+    WalkService service(*s.file, *s.partition, cfg);
+    const std::size_t batches = WalkService::kShardSampleWindow / 2 + 8;
+    std::vector<WalkTicket> tickets;
+    for (std::size_t i = 0; i < batches; ++i) {
+        WalkRequest r;
+        r.starts = {static_cast<graph::VertexId>((i * 37) % 1000)};
+        r.length = 4;
+        r.seed = i;
+        tickets.push_back(service.submit(r));
+    }
+    for (WalkTicket &ticket : tickets) {
+        ASSERT_TRUE(ticket.get().ok());
+    }
+    EXPECT_EQ(service.counters().batches, batches);
+    EXPECT_EQ(service.shard_modeled_samples().size(),
+              WalkService::kShardSampleWindow);
+}
+
 TEST(WalkService, PathsFollowRealEdges)
 {
     Fixture s(skewed_graph(), 4096);

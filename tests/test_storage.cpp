@@ -360,11 +360,13 @@ TEST_F(BlockReaderTest, AsyncLoaderSynchronousMode)
     AsyncLoader loader(reader, false);
     AsyncLoader::Request req;
     req.block = &partition_->block(0);
-    req.fine = true;
-    req.needed = {partition_->block(0).first_vertex};
     loader.submit(std::move(req));
+    EXPECT_FALSE(loader.thread_started());
     AsyncLoader::Response resp = loader.wait();
-    EXPECT_TRUE(resp.fine);
+    EXPECT_FALSE(loader.outstanding());
+    EXPECT_EQ(resp.block->id, 0u);
+    EXPECT_FALSE(resp.fine);
+    EXPECT_TRUE(resp.buffer.complete());
 }
 
 TEST_F(BlockReaderTest, AsyncLoaderPropagatesErrors)
